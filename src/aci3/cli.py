@@ -172,7 +172,7 @@ def _cmd_betti_oracle(args):
     payload = {"table": table.to_json()}
     if args.expected:
         expected = BettiTable.from_json(_json_flag(args.expected, "--expected"))
-        ok, diffs = koszul.verify_resolution(ideal, expected)
+        ok, diffs = koszul.compare_tables(table, expected)
         payload["matches"] = ok
         payload["diff"] = diffs
     return payload, ("koszul-homology-oracle",)

@@ -94,13 +94,13 @@ def test_full_suite_passes():
 def test_witnessed_tables_belong_to_classification():
     # extra coherence: every monomial witness's oracle table is enumerated
     from aci3 import aci_construction, betti_numbers, enumerate_tables, rigid_witness
-    for a in (2, 3, 4):
+    for a in range(2, 9):
         for h in range(a + 1, 2 * a):
             table = betti_numbers(aci_construction((a, a, a), h))
             assert any(n.table == table for n in enumerate_tables(a, h).nodes)
     # at h = a + 1 the classification is a single rigid table and the
     # monomial witness realizes it
-    for a in (2, 3, 4, 5):
+    for a in range(2, 13):
         poset = enumerate_tables(a, a + 1)
         assert len(poset.nodes) == 1
         assert betti_numbers(rigid_witness(a)) == poset.nodes[0].table

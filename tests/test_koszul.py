@@ -7,8 +7,11 @@ elimination written here with Fraction arithmetic.
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aci3 import (
     BettiTable,
@@ -25,7 +28,8 @@ from aci3 import (
     verify_resolution,
 )
 from aci3.intmat import int_det, int_rank
-from aci3.monomials import standard_monomials
+from aci3.koszul import strand_blocks
+from aci3.monomials import minimalize, standard_monomials
 
 
 def fraction_rank(rows):
@@ -73,6 +77,48 @@ def fraction_det(mat):
 
 def random_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_composes_to_zero(mats):
+    """mats[i-1] maps position i to i-1; each consecutive product is zero."""
+    for lower, upper in zip(mats, mats[1:]):
+        if not lower or not upper or not lower[0]:
+            continue
+        rows, mid, cols = len(lower), len(upper), len(upper[0])
+        assert len(lower[0]) == mid
+        for i in range(rows):
+            for jj in range(cols):
+                assert sum(lower[i][k] * upper[k][jj] for k in range(mid)) == 0
+
+
+def whole_strand_table(ideal):
+    """Betti table from the rank of each whole degree strand: the reference
+    the multidegree-blocked oracle is checked against."""
+    std = standard_monomials(ideal)
+    c = ideal.c
+    levels = [[] for _ in range(c + 1)]
+    for j in range(len(std) + c):
+        ranks = [int_rank(m) for m in strand_matrices(ideal, j)]
+        for i in range(c + 1):
+            dim = comb(c, i) * (len(std[j - i]) if 0 <= j - i < len(std) else 0)
+            beta = dim - (ranks[i - 1] if i >= 1 else 0) - (ranks[i] if i < c else 0)
+            levels[i].extend([j] * beta)
+    return BettiTable(c, tuple(tuple(sorted(level)) for level in levels))
+
+
+@st.composite
+def artinian_ideals(draw):
+    """Pure powers plus up to three mixed generators, in 2, 3 or 4 variables."""
+    c = draw(st.sampled_from((2, 3, 4)))
+    # whole-strand ranks of a c = 4 instance with exponents 5 take seconds
+    top = 5 if c < 4 else 3
+    powers = draw(st.lists(st.integers(1, top), min_size=c, max_size=c))
+    gens = [tuple(p if k == i else 0 for k in range(c)) for i, p in enumerate(powers)]
+    extra = st.tuples(*(st.integers(0, p - 1) for p in powers))
+    for g in draw(st.lists(extra, max_size=3)):
+        if sum(e > 0 for e in g) >= 2:
+            gens.append(g)
+    return minimalize(gens, c)
 
 
 class TestIntMat:
@@ -186,15 +232,7 @@ class TestBettiNumbers:
         ideal = aci_construction((2, 3, 4), 5)
         std = standard_monomials(ideal)
         for j in range(0, len(std) + 3):
-            mats = strand_matrices(ideal, j)
-            for lower, upper in zip(mats, mats[1:]):
-                if not lower or not upper or not lower[0]:
-                    continue
-                rows, mid, cols = len(lower), len(upper), len(upper[0])
-                assert len(lower[0]) == mid
-                for i in range(rows):
-                    for jj in range(cols):
-                        assert sum(lower[i][k] * upper[k][jj] for k in range(mid)) == 0
+            assert_composes_to_zero(strand_matrices(ideal, j))
 
     def test_non_artinian_rejected(self):
         with pytest.raises(DomainError):
@@ -212,6 +250,40 @@ class TestBettiNumbers:
             tuple(20 if k == i else 0 for k in range(4)) for i in range(4)))
         with pytest.raises(DomainError, match="too large"):
             betti_numbers(ideal)
+
+
+class TestStrandBlocks:
+    IDEALS = (aci_construction((2, 3, 4), 5), rigid_witness(4))
+
+    def test_block_bases_partition_the_strand(self):
+        for ideal in self.IDEALS:
+            c = ideal.c
+            h = hilbert_function(ideal).values
+            std = {m for bucket in standard_monomials(ideal) for m in bucket}
+            for j in range(len(h) + c):
+                blocks = strand_blocks(ideal, j)
+                for b, bases, _ in blocks:
+                    assert sum(b) == j
+                    for i, basis in enumerate(bases):
+                        for S in basis:
+                            assert len(S) == i
+                            assert tuple(e - (k in S) for k, e in enumerate(b)) in std
+                for i in range(c + 1):
+                    dim = h[j - i] if 0 <= j - i < len(h) else 0
+                    assert sum(len(bases[i]) for _, bases, _ in blocks) == comb(c, i) * dim
+
+    def test_block_differentials_compose_to_zero(self):
+        for ideal in self.IDEALS:
+            for j in range(len(standard_monomials(ideal)) + ideal.c):
+                for _, _, mats in strand_blocks(ideal, j):
+                    assert_composes_to_zero(mats)
+
+    @settings(deadline=None, derandomize=True)
+    @given(artinian_ideals())
+    def test_blocked_oracle_matches_whole_strands(self, ideal):
+        table = betti_numbers(ideal)
+        assert table == whole_strand_table(ideal)
+        assert hilbert_from_betti(table) == hilbert_function(ideal)
 
 
 class TestVerifyResolution:
