@@ -15,6 +15,7 @@ from .classify import EVEN, AciFamily, cancel_ah, maximal_table
 from .errors import DomainError
 from .hilbert import BettiTable
 from .monomials import MonomialIdeal, var_names
+from .pfaffians import alt_matrix
 
 _SEED = 20260810
 
@@ -42,24 +43,9 @@ def _pfaffian_script(variant: str) -> str:
     fam = AciFamily(3, 5, EVEN)
     top = maximal_table(fam)
     expected = top.table if variant == "q" else cancel_ah(top).table
-    degs = (2, 3, 3, 4, 4)
-    theta = 8
-    names = [f"x{i}{j}" for i in range(1, 6) for j in range(i + 1, 6)]
-    rows = []
-    for i in range(1, 6):
-        row = []
-        for j in range(1, 6):
-            if i == j:
-                row.append("0")
-                continue
-            e = theta - degs[min(i, j) - 1] - degs[max(i, j) - 1]
-            if e <= 0:
-                row.append("0")
-            elif i < j:
-                row.append(f"x{i}{j}" + (f"^{e}" if e > 1 else ""))
-            else:
-                row.append(f"-x{j}{i}" + (f"^{e}" if e > 1 else ""))
-        rows.append("{" + ", ".join(row) + "}")
+    alt = alt_matrix((2, 3, 3, 4, 4))
+    span = range(1, alt.size + 1)
+    rows = ",\n".join("  {" + ", ".join(str(alt.entry(i, j)) for j in span) + "}" for i in span)
     if variant == "q":
         gens = "ideal(y2*p1, p2, y1*p5, y1*y2*p125)"
         gen_comment = "-- generators: y2*p_1, p_2, y1*p_5, y1*y2*p_{1,2,5} (degrees 3, 3, 5, 3)"
@@ -73,9 +59,9 @@ def _pfaffian_script(variant: str) -> str:
         gen_comment,
         *_expected_comment(expected),
         f"setRandomSeed {_SEED};",
-        "S = QQ[" + ", ".join(names + ["y1", "y2"]) + "];",
+        "S = QQ[" + ", ".join(alt.ring.names + ("y1", "y2")) + "];",
         "A = matrix {",
-        *[f"  {row}{',' if k < 4 else ''}" for k, row in enumerate(rows)],
+        rows,
         "};",
         "assert(A + transpose A == 0);",
         "-- p_i: pfaffian of A with row and column i deleted (1-based);",

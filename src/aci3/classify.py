@@ -36,6 +36,29 @@ EVEN = "even"
 ODD = "odd"
 
 
+def check_h_window(a: int, h: int, code: str = "h-out-of-range") -> None:
+    """Raise unless a + 1 <= h <= 3a - 2, the window of the (a, h) families."""
+    if not a + 1 <= h <= 3 * a - 2:
+        raise DomainError(code, f"h outside ({a + 1} .. {3 * a - 2}): got {h}")
+
+
+def _check_parity(a: int, h: int, even: bool) -> None:
+    if even and h >= 2 * a:
+        raise DomainError("invalid-family", f"h = {h} >= 2a forces an odd last-syzygy count")
+
+
+def d_star(a: int, h: int, t: int) -> int:
+    """Distinguished generator degree of a table with t last syzygies and
+    generator degrees (a, a, a, h): a when t is even, h when t is odd.
+
+    Raises h-out-of-range outside the window of ``check_h_window`` and
+    invalid-family for even t with h >= 2a.
+    """
+    check_h_window(a, h)
+    _check_parity(a, h, t % 2 == 0)
+    return a if t % 2 == 0 else h
+
+
 @dataclass(frozen=True)
 class AciFamily:
     """Family of ACI algebras with Hilbert function H_CI(a,a,a), generator
@@ -49,17 +72,10 @@ class AciFamily:
         a, h = self.a, self.h
         if a < 2:
             raise DomainError("invalid-family", f"need a >= 2, got {a}")
-        if not a + 1 <= h <= 3 * a - 2:
-            raise DomainError(
-                "invalid-family", f"h outside ({a + 1} .. {3 * a - 2}): got {h}"
-            )
+        check_h_window(a, h, "invalid-family")
         if self.parity not in (EVEN, ODD):
             raise DomainError("invalid-family", f"parity must be even or odd, got {self.parity!r}")
-        if self.parity == EVEN and h >= 2 * a:
-            raise DomainError(
-                "invalid-family",
-                f"h = {h} >= 2a forces an odd last-syzygy count (even family needs h <= {2 * a - 1})",
-            )
+        _check_parity(a, h, self.parity == EVEN)
         if self.parity == ODD and h < a + 2:
             raise DomainError(
                 "invalid-family",
@@ -171,30 +187,19 @@ class AciTable:
             "h": self.h,
             "parity": self.parity,
             "t": self.t,
-            "d_star": d_star(self),
+            "d_star": d_star(self.a, self.h, self.t),
             "levels": [list(level) for level in self.table.levels],
         }
 
 
-def _free_part(fam: AciFamily) -> list[int]:
-    a, h = fam.a, fam.h
-    if fam.parity == EVEN:
-        lo, hi = 2 * a + 1, a + h
-    elif not fam.high:
-        lo, hi = 2 * a + 1, a + h - 1
-    else:
-        lo, hi = h + 1, 3 * a - 1
-    twists = list(range(lo, hi + 1))
-    if (h - a) % 2 == 0:
-        twists.append(fam.shift // 2)
-    return sorted(twists)
-
-
 def maximal_table(fam: AciFamily) -> AciTable:
-    """The maximal Betti table of the family: with F the free part,
+    """The maximal Betti table of the family: with F the free part (every
+    twist of the allowed couples, plus a + h in the even family),
     level 3 = F + {3a}, level 2 = {h, 2a, 2a, 2a} + F, level 1 = {a, a, a, h}."""
     a, h = fam.a, fam.h
-    free = _free_part(fam)
+    free = [j for pair in allowed_couples(fam) for j in pair]
+    if fam.parity == EVEN:
+        free.append(a + h)
     level1 = sorted((a, a, a, h))
     level2 = sorted([h, 2 * a, 2 * a, 2 * a] + free)
     level3 = sorted(free + [3 * a])
@@ -270,11 +275,6 @@ def cancel_ah(tbl: AciTable) -> AciTable:
     return AciTable(tbl.a, tbl.h, ODD, table)
 
 
-def d_star(tbl: AciTable) -> int:
-    """Distinguished generator degree: a when t is even, h when t is odd."""
-    return tbl.a if tbl.t % 2 == 0 else tbl.h
-
-
 class PosetEdge(NamedTuple):
     src: int
     dst: int
@@ -330,8 +330,7 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
     """
     if a < 2:
         raise DomainError("input-error", f"need a >= 2, got {a}")
-    if not a + 1 <= h <= 3 * a - 2:
-        raise DomainError("h-out-of-range", f"h outside ({a + 1} .. {3 * a - 2}): got {h}")
+    check_h_window(a, h)
     nodes: list[AciTable] = []
     if h <= 2 * a - 1:
         nodes.extend(_family_nodes(AciFamily(a, h, EVEN)))

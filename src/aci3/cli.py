@@ -188,12 +188,8 @@ def _cmd_liaison_link(args):
 
 def _cmd_liaison_cone(args):
     table = BettiTable.from_json(_json_flag(args.table, "--table"))
-    z = _ints(args.z)
-    cone = liaison.mapping_cone_twists(table, z)
-    hg = liaison.link_hilbert(z, hilbert_from_betti(table), strict=False)
-    payload = cone.to_json()
-    payload["hg"] = hg.to_json()
-    return payload, ("mapping-cone-twists",)
+    cone = liaison.mapping_cone_twists(table, _ints(args.z))
+    return cone.to_json(), ("mapping-cone-twists",)
 
 
 def _cmd_classify_tables(args):
@@ -206,14 +202,7 @@ def _cmd_classify_tmax(args):
 
 
 def _cmd_classify_dstar(args):
-    if not args.a + 1 <= args.h <= 3 * args.a - 2:
-        raise DomainError("h-out-of-range",
-                          f"h outside ({args.a + 1} .. {3 * args.a - 2}): got {args.h}")
-    if args.t % 2 == 0 and args.h >= 2 * args.a:
-        raise DomainError("invalid-family",
-                          f"h = {args.h} >= 2a forces an odd last-syzygy count")
-    value = args.a if args.t % 2 == 0 else args.h
-    return value, ("d-star-parity",)
+    return classify.d_star(args.a, args.h, args.t), ("d-star-parity",)
 
 
 def _cmd_gorenstein_gaeta(args):
@@ -233,12 +222,6 @@ def _cmd_gorenstein_delta_high(args):
 
 def _cmd_pfaffian_alt(args):
     m = pfaffians.alt_matrix(_ints(args.delta))
-    if args.sub is not None:
-        subs = pfaffians.sub_pfaffians(m)
-        if not 1 <= args.sub <= m.size:
-            raise DomainError("input-error", f"--sub must be in 1..{m.size}")
-        p = subs[args.sub - 1]
-        return _poly_json(p), ("sub-pfaffians",), "pfaffian-sub"
     entries = [
         {"i": i, "j": j, "degree": m.entry_degrees[(i, j)],
          "terms": m.entry(i, j).to_json()}
@@ -303,36 +286,21 @@ def _cmd_verify(args):
     return report.to_json(), ("verification-suite",)
 
 
-_SCHEMA_BY_COMMAND = {
-    ("hf", "ci"): "hf-ci",
-    ("hf", "diff"): "hf-diff",
-    ("hf", "from-betti"): "hf-from-betti",
-    ("hf", "recognize"): "hf-recognize",
-    ("hf", "bound"): "hf-bound",
-    ("aci", "monomial"): "aci-monomial",
-    ("betti", "oracle"): "betti-oracle",
-    ("liaison", "link"): "liaison-link",
-    ("liaison", "cone"): "liaison-cone",
-    ("classify", "tables"): "classify-tables",
-    ("classify", "tmax"): "classify-tmax",
-    ("classify", "dstar"): "classify-dstar",
-    ("gorenstein", "gaeta"): "gorenstein-gaeta",
-    ("gorenstein", "delta-low"): "gorenstein-delta",
-    ("gorenstein", "delta-high"): "gorenstein-delta",
-    ("pfaffian", "alt"): "pfaffian-alt",
-    ("pfaffian", "sub"): "pfaffian-sub",
-    ("pfaffian", "example"): "pfaffian-example",
-    ("export", "cas"): "export-cas",
-    ("verify", None): "verify",
-}
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as an input-error instead of exiting with status 2."""
+
+    def error(self, message):
+        raise DomainError("input-error", f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One route per output: the payload schema is ``<group>-<action>``
+    unless the route sets ``schema``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--envelope", action="store_true",
                         help="print the full status envelope instead of the bare payload")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aci3",
         description="Hilbert functions and Betti tables of codimension-3 "
                     "almost complete intersection artinian algebras")
@@ -414,17 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = gor_sub.add_parser("delta-low", parents=[common])
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
-    p.set_defaults(handler=_cmd_gorenstein_delta_low)
+    p.set_defaults(handler=_cmd_gorenstein_delta_low, schema="gorenstein-delta")
     p = gor_sub.add_parser("delta-high", parents=[common])
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
-    p.set_defaults(handler=_cmd_gorenstein_delta_high)
+    p.set_defaults(handler=_cmd_gorenstein_delta_high, schema="gorenstein-delta")
 
     pf = groups.add_parser("pfaffian", help="alternating matrices and pfaffians")
     pf_sub = pf.add_subparsers(dest="action", required=True)
     p = pf_sub.add_parser("alt", parents=[common])
     p.add_argument("--delta", required=True)
-    p.add_argument("--sub", type=int, help="print the sub-pfaffian p_i instead of the matrix")
     p.set_defaults(handler=_cmd_pfaffian_alt)
     p = pf_sub.add_parser("sub", parents=[common])
     p.add_argument("--delta", required=True)
@@ -447,25 +414,24 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--scope", default="all", choices=("all",) + verify.SCOPES)
     ver.add_argument("--max-degree", type=int, default=5)
     ver.add_argument("--max-a", type=int, default=6)
-    ver.set_defaults(handler=_cmd_verify, action=None)
+    ver.set_defaults(handler=_cmd_verify, schema="verify")
 
     return parser
 
 
+def schema_name(args) -> str:
+    """Name of the schema that the payload of a parsed route must match."""
+    return getattr(args, "schema", None) or f"{args.group}-{args.action}"
+
+
 def run(argv) -> CommandResult:
     """Parse and execute one command; never raises DomainError."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        outcome = args.handler(args)
+        args = build_parser().parse_args(argv)
+        payload, provenance = args.handler(args)
     except DomainError as exc:
         return CommandResult("error", code=exc.code, message=str(exc))
-    if len(outcome) == 3:
-        payload, provenance, schema_name = outcome
-    else:
-        payload, provenance = outcome
-        schema_name = _SCHEMA_BY_COMMAND[(args.group, getattr(args, "action", None))]
-    validate_payload(schema_name, payload)
+    validate_payload(schema_name(args), payload)
     result = CommandResult("ok", payload=payload, provenance=provenance)
     validate_payload("envelope", result.envelope())
     return result

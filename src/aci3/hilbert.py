@@ -151,7 +151,9 @@ class BettiTable:
     def from_json(cls, data: dict) -> "BettiTable":
         try:
             return cls(int(data["c"]), tuple(tuple(level) for level in data["levels"]))
-        except (KeyError, TypeError) as exc:
+        except DomainError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("input-error", f"malformed Betti table: {exc}") from exc
 
 

@@ -8,40 +8,46 @@ integers and results are exact in characteristic zero.
 from __future__ import annotations
 
 
-def int_rank(rows) -> int:
-    """Rank over the rationals of an integer matrix (list of rows)."""
-    m = [list(map(int, r)) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    while rank < nr and rank < nc:
-        # full pivot search in the remaining submatrix
-        pr = pc = -1
-        for i in range(rank, nr):
-            for j in range(rank, nc):
-                if m[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
+def _echelon(m: list[list[int]]) -> tuple[int, int, int]:
+    """Bring ``m`` to fraction-free row echelon form in place.
+
+    Columns are taken left to right; one with no nonzero entry at or below
+    the current row is skipped, otherwise the first such row is swapped up
+    and the rows below it are eliminated.  Returns (rank, sign of the row
+    permutation, last pivot); each pivot is a minor of the row-permuted
+    input, so for a square matrix of full rank sign * last pivot is the
+    determinant.
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(nc):
+        if rank == nr:
             break
-        if pr != rank:
-            m[pr], m[rank] = m[rank], m[pr]
-        if pc != rank:
-            for row in m:
-                row[pc], row[rank] = row[rank], row[pc]
-        piv = m[rank][rank]
+        for p in range(rank, nr):
+            if m[p][col] != 0:
+                break
+        else:
+            continue
+        if p != rank:
+            m[p], m[rank] = m[rank], m[p]
+            sign = -sign
+        top = m[rank]
+        piv = top[col]
         for i in range(rank + 1, nr):
-            fac = m[i][rank]
-            for j in range(rank + 1, nc):
-                m[i][j] = (m[i][j] * piv - fac * m[rank][j]) // prev
-            m[i][rank] = 0
+            row = m[i]
+            fac = row[col]
+            for j in range(col + 1, nc):
+                row[j] = (row[j] * piv - fac * top[j]) // prev
+            row[col] = 0
         prev = piv
         rank += 1
-    return rank
+    return rank, sign, prev
+
+
+def int_rank(rows) -> int:
+    """Rank over the rationals of an integer matrix (list of rows)."""
+    return _echelon([list(map(int, r)) for r in rows])[0]
 
 
 def int_det(mat) -> int:
@@ -50,24 +56,5 @@ def int_det(mat) -> int:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[i], m[k] = m[k], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            fac = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - fac * m[k][j]) // prev
-            m[i][k] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    rank, sign, last = _echelon(m)
+    return sign * last if rank == n else 0

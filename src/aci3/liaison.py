@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import check_h_window
 from .errors import DomainError
 from .hilbert import (
     BettiTable,
@@ -68,8 +69,7 @@ def ci_link_identity(a: int, h: int) -> bool:
     with e = 2a + h - 3."""
     if a < 2:
         raise DomainError("input-error", f"need a >= 2, got {a}")
-    if not a + 1 <= h <= 3 * a - 2:
-        raise DomainError("h-out-of-range", f"h outside ({a + 1} .. {3 * a - 2}): got {h}")
+    check_h_window(a, h)
     h_z = ci_hilbert((a, a, h))
     h_q = ci_hilbert((a, a, a))
     h_g = ci_hilbert(tuple(sorted((h - a, a, a))))
@@ -80,16 +80,19 @@ def ci_link_identity(a: int, h: int) -> bool:
 
 @dataclass(frozen=True)
 class MappingCone:
-    """Mapping-cone twist table for the linked ideal, plus the consecutive
-    equal-twist positions where it may fail to be minimal."""
+    """Mapping-cone twist table for the linked ideal, the consecutive
+    equal-twist positions where it may fail to be minimal, and the Hilbert
+    function of the link."""
 
     table: BettiTable
     candidates: tuple[tuple[int, int], ...]  # (level, twist), multiset
+    hg: HilbertFunction
 
     def to_json(self) -> dict:
         return {
             "table": self.table.to_json(),
             "candidates": [list(c) for c in self.candidates],
+            "hg": self.hg.to_json(),
         }
 
 
@@ -132,4 +135,4 @@ def mapping_cone_twists(b_q: BettiTable, z: DegreesLike) -> MappingCone:
     h_cone = hilbert_from_betti(table)
     if h_cone != h_g:
         raise DomainError("inconsistent-link-data", "inconsistent link data")
-    return MappingCone(table, _cancellation_candidates(table))
+    return MappingCone(table, _cancellation_candidates(table), h_g)

@@ -121,10 +121,11 @@ class MonomialIdeal:
     def from_json(cls, data: dict) -> "MonomialIdeal":
         try:
             c = int(data["c"])
-            gens = [tuple(g) for g in data["gens"]]
-        except (KeyError, TypeError) as exc:
+            return minimalize([tuple(g) for g in data["gens"]], c)
+        except DomainError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("input-error", f"malformed ideal: {exc}") from exc
-        return minimalize(gens, c)
 
 
 def minimalize(gens, c: int) -> MonomialIdeal:

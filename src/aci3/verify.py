@@ -156,7 +156,7 @@ def check_classification_coherence(max_a: int = 6) -> CheckResult:
                     return CheckResult("classification/coherence", False,
                                        f"even t with h >= 2a at {tag}")
                 want_dstar = a if node.t % 2 == 0 else h
-                if classify.d_star(node) != want_dstar:
+                if classify.d_star(a, h, node.t) != want_dstar:
                     return CheckResult("classification/coherence", False,
                                        f"d* != {want_dstar} at {tag}")
                 if node.table.levels[2].count(2 * a) < 3 or node.table.levels[3].count(3 * a) != 1:

@@ -206,9 +206,21 @@ class TestTMaxAndDStar:
             assert max(n.t for n in enumerate_tables(a, 2 * a).nodes) == t_max(a)
 
     def test_d_star(self):
-        assert d_star(maximal_table(AciFamily(3, 5, EVEN))) == 3
-        assert d_star(maximal_table(AciFamily(3, 5, ODD))) == 5
-        assert d_star(maximal_table(AciFamily(4, 5, EVEN))) == 4  # h = a + 1, t = 2
+        def of(fam):
+            top = maximal_table(fam)
+            return d_star(top.a, top.h, top.t)
+
+        assert of(AciFamily(3, 5, EVEN)) == 3
+        assert of(AciFamily(3, 5, ODD)) == 5
+        assert of(AciFamily(4, 5, EVEN)) == 4  # h = a + 1, t = 2
+
+    def test_d_star_rejects(self):
+        with pytest.raises(DomainError) as exc:
+            d_star(1, 2, 3)
+        assert exc.value.code == "h-out-of-range"
+        with pytest.raises(DomainError) as exc:
+            d_star(3, 6, 4)
+        assert exc.value.code == "invalid-family"
 
 
 class TestDeltas:

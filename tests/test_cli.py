@@ -1,12 +1,15 @@
 """CLI surface: payload shapes, schema conformance, determinism, error codes,
 file outputs, and the CAS export scripts."""
 
+import argparse
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
 from aci3 import export_cas, script_is_balanced
-from aci3.cli import main, run, validate_payload
+from aci3.cli import build_parser, main, run, schema_name, validate_payload
 
 
 def payload(argv):
@@ -97,10 +100,8 @@ class TestOtherCommands:
         by_pair = {(e["i"], e["j"]): e for e in got["entries"]}
         assert by_pair[(4, 5)]["terms"] == []
         assert by_pair[(1, 2)]["degree"] == 3
-        sub = payload(["pfaffian", "alt", "--delta", "2,3,3,4,4", "--sub", "1"])
+        sub = payload(["pfaffian", "sub", "--delta", "2,3,3,4,4", "--i", "1"])
         assert sub["pretty"] == "-x24*x35 + x25*x34"
-        sub2 = payload(["pfaffian", "sub", "--delta", "2,3,3,4,4", "--i", "1"])
-        assert sub2 == sub
         ex = payload(["pfaffian", "example"])
         assert ex["degrees_q"] == [3, 3, 5, 3] and ex["sorted_degrees"] == [3, 3, 3, 5]
 
@@ -147,6 +148,143 @@ class TestErrorsAndDeterminism:
         validate_payload("hf-ci", [1, 3, 3, 1])
         with pytest.raises(Exception):
             validate_payload("hf-ci", [1, -3])
+
+
+def json_error(argv, capsys):
+    """Exit status 1 and a JSON error on stderr; returns its code."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["status"] == "error"
+    return err["code"]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["betti", "oracle", "--ideal", '{"c":"x","gens":[[2,0,0]]}'],
+        ["betti", "oracle", "--ideal", '{"c":3,"gens":"ab"}'],
+        ["hf", "from-betti", "--table", '{"c":3,"levels":[[0],["a"],[],[]]}'],
+    ])
+    def test_non_integer_json_values(self, argv, capsys):
+        assert json_error(argv, capsys) == "input-error"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "tmax", "--a", "x"],
+        ["classify", "dstar", "--a", "3", "--h", "5"],
+        ["pfaffian", "alt", "--delta", "2,3,3,4,4", "--sub", "1"],
+        ["classify"],
+    ])
+    def test_usage_errors(self, argv, capsys):
+        assert json_error(argv, capsys) == "input-error"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "tmax", "--help"])
+        assert exc.value.code == 0
+        assert "--a" in capsys.readouterr().out
+
+
+def routes():
+    """(group, action, parser) for every route of the CLI; action is None
+    for a group without subcommands."""
+    def subcommands(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), None)
+
+    for group, group_parser in subcommands(build_parser()).items():
+        actions = subcommands(group_parser)
+        if actions is None:
+            yield group, None, group_parser
+        else:
+            for action, parser in actions.items():
+                yield group, action, parser
+
+
+class TestRoutes:
+    def test_every_route_has_a_schema_and_every_schema_a_route(self):
+        schemas = resources.files("aci3").joinpath("schemas")
+        files = {f.name.removesuffix(".schema.json") for f in schemas.iterdir()
+                 if f.name.endswith(".schema.json")}
+        served = set()
+        for group, action, parser in routes():
+            ns = argparse.Namespace(group=group, action=action, schema=parser.get_default("schema"))
+            assert parser.get_default("handler") is not None, (group, action)
+            served.add(schema_name(ns))
+        assert served == files - {"envelope"}
+
+
+README_CONE = ["liaison", "cone", "--z", "2,2,3",
+               "--table", '{"c":3,"levels":[[0],[2,2,2,3],[3,4,4,4,5],[5,6]]}']
+
+TABLES_4_6 = (
+    '{"a":4,"edges":[{"dst":2,"kind":"couple","src":1,"twists":[9,9]},'
+    '{"dst":0,"kind":"ah","src":1,"twists":[10]}],"h":6,"tables":['
+    '{"a":4,"d_star":6,"h":6,"levels":[[0],[4,4,4,6],[6,8,8,8,9,9],[9,9,12]],'
+    '"parity":"odd","t":3},'
+    '{"a":4,"d_star":4,"h":6,"levels":[[0],[4,4,4,6],[6,8,8,8,9,9,10],[9,9,10,12]],'
+    '"parity":"even","t":4},'
+    '{"a":4,"d_star":4,"h":6,"levels":[[0],[4,4,4,6],[6,8,8,8,10],[10,12]],'
+    '"parity":"even","t":2}]}'
+)
+
+TABLES_5_10 = (
+    '{"a":5,"edges":[{"dst":2,"kind":"couple","src":0,"twists":[11,14]},'
+    '{"dst":1,"kind":"couple","src":0,"twists":[12,13]}],"h":10,"tables":['
+    '{"a":5,"d_star":10,"h":10,"levels":[[0],[5,5,5,10],[10,10,10,10,11,12,13,14],'
+    '[11,12,13,14,15]],"parity":"odd","t":5},'
+    '{"a":5,"d_star":10,"h":10,"levels":[[0],[5,5,5,10],[10,10,10,10,11,14],[11,14,15]],'
+    '"parity":"odd","t":3},'
+    '{"a":5,"d_star":10,"h":10,"levels":[[0],[5,5,5,10],[10,10,10,10,12,13],[12,13,15]],'
+    '"parity":"odd","t":3}]}'
+)
+
+
+def stdout_of(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestPinnedPayloads:
+    """Exact outputs of routes whose implementation is shared with the library."""
+
+    def test_cas_script_digests(self):
+        digests = {kind: hashlib.sha256(export_cas(kind, {}).encode()).hexdigest()
+                   for kind in ("pfaffian-q", "pfaffian-w")}
+        assert digests == {
+            "pfaffian-q": "7be3f94acd911dca200620387a104436e93ac29cce6af4235690852f1db4b034",
+            "pfaffian-w": "5249878f02dd16a31e4082158fb934d655b5e907a3887352e295391bdb59698b",
+        }
+
+    def test_liaison_cone_readme_example(self, capsys):
+        assert stdout_of(README_CONE, capsys) == (
+            '{"candidates":[[1,2],[1,3],[2,4],[2,5],[2,5]],"hg":[1,2,1],'
+            '"table":{"c":3,"levels":[[0],[1,2,2,2,3],[2,3,3,3,4,4,5,5],[4,5,5,5]]}}\n'
+        )
+
+    @pytest.mark.parametrize("a, h, t, want", [
+        (3, 5, 4, 3),
+        (3, 5, 3, 5),
+        (3, 4, 3, 4),   # h = a + 1 with odd t answers h
+        (4, 5, 3, 5),
+        (3, 6, 3, 6),
+    ])
+    def test_dstar_values(self, a, h, t, want):
+        assert payload(["classify", "dstar", "--a", str(a), "--h", str(h), "--t", str(t)]) == want
+
+    @pytest.mark.parametrize("a, h, t, code", [
+        (1, 2, 3, "h-out-of-range"),
+        (3, 3, 3, "h-out-of-range"),
+        (3, 8, 3, "h-out-of-range"),
+        (3, 6, 2, "invalid-family"),
+        (3, 7, 4, "invalid-family"),
+    ])
+    def test_dstar_errors(self, a, h, t, code):
+        assert run(["classify", "dstar", "--a", str(a), "--h", str(h), "--t", str(t)]).code == code
+
+    @pytest.mark.parametrize("a, h, want", [(4, 6, TABLES_4_6), (5, 10, TABLES_5_10)])
+    def test_classify_tables(self, a, h, want, capsys):
+        assert stdout_of(["classify", "tables", "--a", str(a), "--h", str(h)], capsys) == want + "\n"
 
 
 class TestExportCas:

@@ -121,7 +121,39 @@ def artinian_ideals(draw):
     return minimalize(gens, c)
 
 
+# Shapes that exercise each branch of the shared elimination core.
+ECHELON_CASES = [
+    pytest.param([[0, 0, 1, 2], [0, 0, 3, 4], [0, 0, 5, 7]], id="zero-leading-columns"),
+    pytest.param([[0, 0, 0], [0, 2, 1], [0, 4, 3]], id="zero-leading-column-square"),
+    pytest.param([[1, 0, 2], [3, 0, 4], [5, 0, 6]], id="zero-middle-column-square"),
+    pytest.param([[1, 2], [3, 4], [5, 6], [7, 8], [0, 1]], id="tall"),
+    pytest.param([[0], [0], [3]], id="tall-single-column"),
+    pytest.param([[1, 2, 3, 4, 5], [2, 4, 6, 8, 11]], id="wide"),
+    pytest.param([[0, 0, 0, 7], [0, 0, 0, 0]], id="wide-pivot-in-last-column"),
+    pytest.param([[1, 2, 3], [2, 4, 6], [1, 0, 1]], id="singular-square"),
+    pytest.param([[2, 4], [3, 6]], id="singular-square-2x2"),
+    pytest.param([[0, 0], [0, 0]], id="zero-square"),
+    pytest.param([[0, 1], [1, 0]], id="row-swap"),
+    pytest.param([[0, 2, 1], [3, 1, 0], [1, 0, 2]], id="row-swap-3x3"),
+    pytest.param([[0, 0, 1], [0, 1, 0], [1, 0, 0]], id="anti-diagonal"),
+]
+
+
 class TestIntMat:
+    @pytest.mark.parametrize("m", ECHELON_CASES)
+    def test_echelon_cases(self, m):
+        assert int_rank(m) == fraction_rank(m)
+        if len(m) == len(m[0]):
+            assert int_det(m) == fraction_det(m)
+
+    def test_row_swap_flips_sign(self):
+        assert int_det([[0, 1], [1, 0]]) == -1
+        assert int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+    def test_det_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            int_det([[1, 2, 3], [4, 5, 6]])
+
     def test_rank_against_fraction_oracle(self):
         rng = random.Random(1)
         for _ in range(60):
