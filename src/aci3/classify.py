@@ -12,11 +12,13 @@ s = 3a + h for the duality shift of the linked Gorenstein ideal:
   * the distinguished generator degree d* is a when t is even and h when t
     is odd.
 
-For each parity there is a maximal table, and every other table arises from
-it by cancelling couples R(-i) (+) R(-(s - i)) from levels 2 and 3 within a
-fixed twist window (odd-parity families additionally require t >= 5 at the
-time of cancellation, keeping t >= 3), plus the single a+h cancellation that
-moves an even-parity table with t >= 4 to the odd family.
+For each parity there is a maximal table.  Two moves cancel summands from
+levels 2 and 3: ``cancel_couple`` removes a couple R(-i) (+) R(-(s - i))
+within a fixed twist window (odd-parity families require t >= 5 at the time
+of cancellation, keeping t >= 3), and ``cancel_ah`` removes the single
+R(-(a+h)) pair, moving an even-parity table with t >= 4 to the odd family.
+``enumerate_tables`` builds the table poset as the closure of one maximal
+table (even for h < 2a, odd from h = 2a on) under these two moves.
 
 ``delta_low`` and ``delta_high`` build the generator-degree sequences of the
 linked Gorenstein ideals realizing the maximal tables; both satisfy the
@@ -26,7 +28,6 @@ Gaeta conditions implemented in ``gaeta_check``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError
@@ -304,57 +305,46 @@ class TablePoset:
         }
 
 
-def _family_nodes(fam: AciFamily) -> list[AciTable]:
-    top = maximal_table(fam)
-    couples = allowed_couples(fam)
-    if fam.parity == EVEN:
-        max_k = len(couples)
-    else:
-        max_k = (top.t - 3) // 2
-    nodes = []
-    for k in range(0, max_k + 1):
-        for subset in combinations(couples, k):
-            node = top
-            for pair in subset:
-                node = cancel_couple(node, pair)
-            nodes.append(node)
-    return nodes
-
-
 def enumerate_tables(a: int, h: int) -> TablePoset:
-    """Every Betti table reachable from the applicable maximal tables by
-    allowed cancellations, with explicit couple and a+h edges.
+    """Every Betti table of the (a, h) families: the closure of the maximal
+    table under ``cancel_couple`` and ``cancel_ah``, with one edge per
+    successful cancellation.
 
-    Nodes are ordered lexicographically by their level multisets; distinct
-    couple subsets give distinct tables, so no deduplication is needed.
+    The seed is the maximal table of the even family for h < 2a and of the
+    odd family otherwise; below 2a the odd maximal table is ``cancel_ah`` of
+    the even one, so one seed reaches both families.  Nodes are ordered
+    lexicographically by their level multisets, and each node's edges follow
+    it: couples in ``allowed_couples`` order, then the a+h edge.
     """
     if a < 2:
         raise DomainError("input-error", f"need a >= 2, got {a}")
     check_h_window(a, h)
-    nodes: list[AciTable] = []
-    if h <= 2 * a - 1:
-        nodes.extend(_family_nodes(AciFamily(a, h, EVEN)))
-    if h >= a + 2:
-        nodes.extend(_family_nodes(AciFamily(a, h, ODD)))
-    nodes.sort(key=lambda node: node.table.levels)
-    position = {(node.parity, node.table.levels): i for i, node in enumerate(nodes)}
-
-    edges = []
-    for i, node in enumerate(nodes):
+    seed = maximal_table(AciFamily(a, h, EVEN if h < 2 * a else ODD))
+    found: dict[tuple, tuple[AciTable, list]] = {}
+    todo = [seed]
+    while todo:
+        node = todo.pop()
+        if node.table.levels in found:
+            continue
+        moves = []
         for pair in allowed_couples(node.family):
             try:
-                target = cancel_couple(node, pair)
+                moves.append(("couple", pair, cancel_couple(node, pair)))
             except DomainError:
-                continue
-            j = position[(target.parity, target.table.levels)]
-            edges.append(PosetEdge(i, j, "couple", pair))
+                pass
         try:
-            target = cancel_ah(node)
+            moves.append(("ah", (a + h,), cancel_ah(node)))
         except DomainError:
-            continue
-        j = position[(target.parity, target.table.levels)]
-        edges.append(PosetEdge(i, j, "ah", (node.a + node.h,)))
-    return TablePoset(a, h, tuple(nodes), tuple(edges))
+            pass
+        found[node.table.levels] = (node, moves)
+        todo.extend(target for _, _, target in moves)
+
+    order = sorted(found)
+    position = {levels: i for i, levels in enumerate(order)}
+    edges = tuple(PosetEdge(i, position[target.table.levels], kind, twists)
+                  for i, levels in enumerate(order)
+                  for kind, twists, target in found[levels][1])
+    return TablePoset(a, h, tuple(found[levels][0] for levels in order), edges)
 
 
 def t_max(a: int) -> int:

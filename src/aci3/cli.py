@@ -41,6 +41,7 @@ class CommandResult:
     provenance: tuple[str, ...] = field(default_factory=tuple)
     code: str | None = None
     message: str | None = None
+    show_envelope: bool = False  # --envelope: print envelope() instead of the payload
 
     def envelope(self) -> dict:
         if self.status == "ok":
@@ -432,7 +433,8 @@ def run(argv) -> CommandResult:
     except DomainError as exc:
         return CommandResult("error", code=exc.code, message=str(exc))
     validate_payload(schema_name(args), payload)
-    result = CommandResult("ok", payload=payload, provenance=provenance)
+    result = CommandResult("ok", payload=payload, provenance=provenance,
+                           show_envelope=args.envelope)
     validate_payload("envelope", result.envelope())
     return result
 
@@ -442,12 +444,11 @@ def _dumps(obj) -> str:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    result = run(argv)
+    result = run(sys.argv[1:] if argv is None else argv)
     if result.status == "error":
         print(_dumps(result.envelope()), file=sys.stderr)
         return 1
-    if "--envelope" in argv:
+    if result.show_envelope:
         print(_dumps(result.envelope()))
     else:
         print(_dumps(result.payload))

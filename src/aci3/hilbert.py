@@ -229,18 +229,18 @@ def betti_alternating_sum(b: BettiTable, upto: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def hilbert_from_betti(b: BettiTable, artinian: bool = True) -> HilbertFunction:
+def hilbert_from_betti(b: BettiTable) -> HilbertFunction:
     """Hilbert function determined by a Betti table (alternating binomial sum).
 
     Each summand R(-j) at level i contributes (-1)^i times the count of
-    monomials of degree n - j in c variables.  Raises if a value is negative,
-    or (in the default artinian mode) if the support is not finite.
+    monomials of degree n - j in c variables.  Raises if a value is negative
+    or if the support is not finite.
     """
     m = b.max_twist()
     vals = betti_alternating_sum(b, m + b.c)
     if any(v < 0 for v in vals):
         raise DomainError("not-hilbert-function", "table not a Hilbert function")
-    if artinian and any(vals[n] != 0 for n in range(m + 1, m + b.c + 1)):
+    if any(vals[n] != 0 for n in range(m + 1, m + b.c + 1)):
         # a degree-(c-1) polynomial vanishing at c consecutive points is zero,
         # so nonzero values past the top twist certify infinite support
         raise DomainError("non-artinian", "table has non-finitely-supported Hilbert function")

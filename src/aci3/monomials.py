@@ -29,10 +29,6 @@ def var_names(c: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(c))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def divides(d: Monomial, m: Monomial) -> bool:
     return all(a <= b for a, b in zip(d, m))
 

@@ -16,10 +16,9 @@ homogeneous of degree exactly d_i.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from .classify import DeltaLike, _as_delta, gaeta_check
+from .classify import DeltaLike, _as_delta
 from .errors import DomainError
 from .intmat import int_det
 
@@ -208,8 +207,8 @@ def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> Alternatin
     """Alternating matrix of a degree sequence, over variables x_ij (with any
     extra variables appended to the ring).
 
-    Requires theta integral; a failing Gaeta check only warns, since the
-    matrix itself is still well defined.
+    Requires theta integral.  The matrix is well defined whether or not the
+    sequence passes the Gaeta conditions; ``gaeta_check`` gives that verdict.
     """
     d = _as_delta(delta)
     degs = d.degrees
@@ -219,10 +218,6 @@ def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> Alternatin
     theta = d.theta
     if theta is None:
         raise DomainError("theta-not-integral", f"theta = {sum(degs)}/{d.n} is not an integer")
-    verdict = gaeta_check(d)
-    if not verdict.ok:
-        warnings.warn(f"degree sequence fails the Gaeta conditions: {verdict.reason}",
-                      stacklevel=2)
     names = tuple(f"x{i}{j}" for i in range(1, m + 1) for j in range(i + 1, m + 1))
     ring = PolyRing(names + tuple(extra_vars))
     upper = {}

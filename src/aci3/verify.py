@@ -9,7 +9,6 @@ command line.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -258,9 +257,7 @@ def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
         for degs in combinations_with_replacement(range(1, max_entry + 1), length):
             if sum(degs) % n:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                m = pfaffians.alt_matrix(degs)
+            m = pfaffians.alt_matrix(degs)
             for i, p in enumerate(pfaffians.sub_pfaffians(m)):
                 if not p.is_zero and (not p.is_homogeneous() or p.degree() != degs[i]):
                     return CheckResult(

@@ -1,6 +1,9 @@
 """Classification engine: maximal tables, cancellation poset, parity laws,
 the distinguished degree, and the Gorenstein degree-sequence builders."""
 
+import hashlib
+import json
+
 import pytest
 
 from aci3 import (
@@ -20,7 +23,7 @@ from aci3 import (
     maximal_table,
     t_max,
 )
-from aci3.classify import EVEN, ODD
+from aci3.classify import EVEN, ODD, PosetEdge
 
 
 class TestGaeta:
@@ -193,6 +196,44 @@ class TestEnumerate:
             enumerate_tables(3, 8)
         with pytest.raises(DomainError):
             enumerate_tables(2, 2)
+
+    def test_pinned_payloads(self):
+        text = "".join(
+            json.dumps(enumerate_tables(a, h).to_json(), sort_keys=True, separators=(",", ":"))
+            + "\n"
+            for a in range(2, 13)
+            for h in range(a + 1, 3 * a - 1)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "7fc45fd10c1661e0abf12145bec058a2a8780dedb6180336149cc293a40a31cb"
+
+    @pytest.mark.parametrize("a", range(2, 14))
+    def test_node_count_formula(self, a):
+        # d independent cancellations (couples, plus a+h below 2a) give
+        # 2^d subsets; the t-floor removes exactly the empty one.
+        for h in range(a + 1, 3 * a - 1):
+            d = (h - a) // 2 + 1 if h <= 2 * a - 1 else (3 * a - h) // 2
+            assert len(enumerate_tables(a, h).nodes) == 2 ** d - 1, (a, h)
+
+    @pytest.mark.parametrize("a", range(2, 10))
+    def test_closed_under_cancellation(self, a):
+        for h in range(a + 1, 3 * a - 1):
+            poset = enumerate_tables(a, h)
+            position = {node.table.levels: i for i, node in enumerate(poset.nodes)}
+            found = set()
+            for i, node in enumerate(poset.nodes):
+                moves = [(pair, "couple", lambda n, p=pair: cancel_couple(n, p))
+                         for pair in allowed_couples(node.family)]
+                moves.append(((a + h,), "ah", cancel_ah))
+                for twists, kind, move in moves:
+                    try:
+                        target = move(node)
+                    except DomainError:
+                        continue
+                    j = position[target.table.levels]
+                    assert poset.nodes[j] == target
+                    found.add(PosetEdge(i, j, kind, twists))
+            assert found == set(poset.edges)
 
 
 class TestTMaxAndDStar:

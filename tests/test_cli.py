@@ -137,6 +137,11 @@ class TestErrorsAndDeterminism:
         assert env["payload"] == [1, 2, 1]
         assert env["provenance"] == ["ci-hilbert-koszul-product"]
 
+    def test_envelope_abbreviation(self, capsys):
+        assert main(["hf", "ci", "--degrees", "2,2", "--env"]) == 0
+        env = json.loads(capsys.readouterr().out)
+        assert env["status"] == "ok" and env["payload"] == [1, 2, 1]
+
     def test_byte_identical_runs(self, capsys):
         main(["classify", "tables", "--a", "4", "--h", "6"])
         first = capsys.readouterr().out
