@@ -14,22 +14,12 @@ from __future__ import annotations
 from .classify import EVEN, AciFamily, cancel_ah, maximal_table
 from .errors import DomainError
 from .hilbert import BettiTable
-from .monomials import MonomialIdeal, var_names
+from .monomials import MonomialIdeal, format_monomial, var_names
 from .pfaffians import alt_matrix
 
 _SEED = 20260810
 
 EXPORT_KINDS = ("pfaffian-q", "pfaffian-w", "monomial")
-
-
-def _m2_monomial(g, names) -> str:
-    parts = []
-    for name, e in zip(names, g):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 def _expected_comment(table: BettiTable) -> list[str]:
@@ -90,7 +80,7 @@ def _monomial_script(ideal: MonomialIdeal, expected) -> str:
         lines.extend(_expected_comment(expected))
     lines.extend([
         "R = QQ[" + ", ".join(names) + "];",
-        "I = ideal(" + ", ".join(_m2_monomial(g, names) for g in ideal.gens) + ");",
+        "I = ideal(" + ", ".join(format_monomial(g, sep="*") for g in ideal.gens) + ");",
         "print betti res I;",
     ])
     return "\n".join(lines) + "\n"

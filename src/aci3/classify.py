@@ -36,6 +36,8 @@ from .hilbert import BettiTable
 EVEN = "even"
 ODD = "odd"
 
+MAX_POSET_NODES = 4095
+
 
 def check_h_window(a: int, h: int, code: str = "h-out-of-range") -> None:
     """Raise unless a + 1 <= h <= 3a - 2, the window of the (a, h) families."""
@@ -314,11 +316,19 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
     odd family otherwise; below 2a the odd maximal table is ``cancel_ah`` of
     the even one, so one seed reaches both families.  Nodes are ordered
     lexicographically by their level multisets, and each node's edges follow
-    it: couples in ``allowed_couples`` order, then the a+h edge.
+    it: couples in ``allowed_couples`` order, then the a+h edge.  Posets
+    with more than ``MAX_POSET_NODES`` nodes raise too-large before any
+    table is built.
     """
     if a < 2:
         raise DomainError("input-error", f"need a >= 2, got {a}")
     check_h_window(a, h)
+    # d independent cancellations give 2^d subsets; the t-floor drops the empty
+    # one.  Comparing d first keeps a huge h from building a huge 2^d.
+    d = (h - a) // 2 + 1 if h < 2 * a else (3 * a - h) // 2
+    if d > MAX_POSET_NODES.bit_length() or 2 ** d - 1 > MAX_POSET_NODES:
+        raise DomainError("too-large", f"(a, h) = ({a}, {h}): the table poset has "
+                                       f"2^{d} - 1 nodes, more than {MAX_POSET_NODES}")
     seed = maximal_table(AciFamily(a, h, EVEN if h < 2 * a else ODD))
     found: dict[tuple, tuple[AciTable, list]] = {}
     todo = [seed]
@@ -355,29 +365,29 @@ def t_max(a: int) -> int:
     return a + 1 if a % 2 == 0 else a
 
 
+def _link_delta(a: int, h: int, lo: int, hi: int) -> GorensteinDelta:
+    """(a, a, h-a) and the degrees strictly between max(a, h-a) and
+    min(h, 2a), with (a+h)/2 doubled when h - a is even; lo <= h <= hi is
+    checked before any list is built."""
+    if a < 2:
+        raise DomainError("input-error", f"need a >= 2, got {a}")
+    if not lo <= h <= hi:
+        raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
+    degs = [a, a, h - a] + list(range(max(a, h - a) + 1, min(h, 2 * a)))
+    if (h - a) % 2 == 0:
+        degs.append((a + h) // 2)
+    return GorensteinDelta(tuple(sorted(degs)))
+
+
 def delta_low(a: int, h: int) -> GorensteinDelta:
     """Generator degrees of the Gorenstein link realizing the maximal tables
     for a + 1 <= h <= 2a - 1: (h-a, a, a, a+1, ..., h-1), with (a+h)/2
     doubled when h - a is even."""
-    if a < 2:
-        raise DomainError("input-error", f"need a >= 2, got {a}")
-    if not a + 1 <= h <= 2 * a - 1:
-        raise DomainError("h-out-of-range", f"h outside ({a + 1} .. {2 * a - 1}): got {h}")
-    degs = [h - a, a, a] + list(range(a + 1, h))
-    if (h - a) % 2 == 0:
-        degs.append((a + h) // 2)
-    return GorensteinDelta(tuple(sorted(degs)))
+    return _link_delta(a, h, a + 1, 2 * a - 1)
 
 
 def delta_high(a: int, h: int) -> GorensteinDelta:
     """Generator degrees of the Gorenstein link realizing the maximal table
     for 2a <= h <= 3a - 2: (a, a, h-a, h-a+1, ..., 2a-1), with (a+h)/2
     doubled when h - a is even."""
-    if a < 2:
-        raise DomainError("input-error", f"need a >= 2, got {a}")
-    if not 2 * a <= h <= 3 * a - 2:
-        raise DomainError("h-out-of-range", f"h outside ({2 * a} .. {3 * a - 2}): got {h}")
-    degs = [a, a] + list(range(h - a, 2 * a))
-    if (h - a) % 2 == 0:
-        degs.append((a + h) // 2)
-    return GorensteinDelta(tuple(sorted(degs)))
+    return _link_delta(a, h, 2 * a, 3 * a - 2)

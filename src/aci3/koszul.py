@@ -15,9 +15,10 @@ yields the same homology dimensions; this one is fixed for reproducibility.
 The differential preserves the Z^c multidegree b = m + 1_S, so each strand
 is the direct sum of its multidegree blocks.  The block of b has, in
 position i, the i-subsets S with b - 1_S a standard monomial; for c = 3 its
-matrices are at most 3 x 3.  ``betti_numbers`` ranks these blocks one degree
-at a time and adds their ranks up; ``strand_matrices`` builds a whole strand
-and is kept as the cross-check the tests compare against.
+matrices are at most 3 x 3.  ``betti_numbers`` walks the blocks one degree
+at a time and reads beta_{i,b} = |bases_i| - rank M_i - rank M_{i+1} off each
+block; ``strand_matrices`` builds a whole strand and is kept as the
+cross-check the tests compare against.
 
 Matrices have entries in {-1, 0, 1}; ranks are computed by fraction-free
 integer elimination, so the answers are exact characteristic-zero values.
@@ -148,22 +149,14 @@ def betti_numbers(ideal: MonomialIdeal) -> BettiTable:
     socle = len(std) - 1
     levels: list[list[int]] = [[] for _ in range(c + 1)]
     for j in range(0, socle + c + 1):
-        dims = []
+        betti = [0] * (c + 1)
+        for _, bases, mats in strand_blocks(ideal, j, std):
+            # ranks[i] = rank of the block map from position i to i-1; zero at both ends
+            ranks = [0] + [int_rank(mat) if mat and mat[0] else 0 for mat in mats] + [0]
+            for i, basis in enumerate(bases):
+                betti[i] += len(basis) - ranks[i] - ranks[i + 1]
         for i in range(c + 1):
-            d = j - i
-            dims.append(comb(c, i) * (len(std[d]) if 0 <= d <= socle else 0))
-        if not any(dims):
-            continue
-        ranks = [0] * c  # ranks[i-1] = rank of position i -> i-1, summed over blocks
-        for _, _, mats in strand_blocks(ideal, j, std):
-            for i, mat in enumerate(mats):
-                if mat and mat[0]:
-                    ranks[i] += int_rank(mat)
-        for i in range(c + 1):
-            rk_in = ranks[i - 1] if i >= 1 else 0
-            rk_out = ranks[i] if i < c else 0
-            beta = dims[i] - rk_in - rk_out
-            levels[i].extend([j] * beta)
+            levels[i].extend([j] * betti[i])
     return BettiTable(c, tuple(tuple(sorted(level)) for level in levels))
 
 

@@ -49,15 +49,13 @@ def m_div(a: Monomial, b: Monomial) -> Monomial:
     return out
 
 
-def format_monomial(m: Monomial) -> str:
-    names = var_names(len(m))
-    parts = []
-    for name, e in zip(names, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "".join(parts) if parts else "1"
+def format_monomial(m: Monomial, names=None, sep: str = "") -> str:
+    """The factors name^e (bare name for e = 1) of a monomial, joined by sep;
+    "1" for the unit.  Names default to ``var_names(len(m))``."""
+    if names is None:
+        names = var_names(len(m))
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e]
+    return sep.join(parts) or "1"
 
 
 def _canonical_gens(gens) -> tuple[Monomial, ...]:

@@ -12,6 +12,12 @@ theta = (sum d_i)/n has
 over one variable x_ij per index pair.  Deleting row and column i of the
 matrix and taking the pfaffian of the rest yields a polynomial p_i that is
 homogeneous of degree exactly d_i.
+
+One memoised first-row expansion serves polynomial and integer matrices
+alike: ``pfaffian``, ``sub_pfaffians`` and ``pfaffian_int`` all call it, so
+the Pf(M)^2 = det(M) check of ``pf_squared_equals_det`` tests the expansion
+behind the sub-pfaffians and the witness ideals.  ``pfaffian_last_row``
+expands along the last row and is kept as the cross-check.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 from .classify import DeltaLike, _as_delta
 from .errors import DomainError
 from .intmat import int_det
+from .monomials import format_monomial
 
 
 @dataclass(frozen=True)
@@ -146,19 +153,12 @@ class SparsePolynomial:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
-            factors = [
-                name if p == 1 else f"{name}^{p}"
-                for name, p in zip(self.ring.names, e)
-                if p
-            ]
-            body = "*".join(factors)
             mag = abs(c)
-            if not body:
+            if not any(e):
                 word = str(mag)
-            elif mag == 1:
-                word = body
             else:
-                word = f"{mag}*{body}"
+                body = format_monomial(e, self.ring.names, "*")
+                word = body if mag == 1 else f"{mag}*{body}"
             if not parts:
                 parts.append(word if c > 0 else f"-{word}")
             else:
@@ -237,6 +237,8 @@ def _check_subset(m: AlternatingMatrix, subset) -> tuple[int, ...]:
         raise DomainError("input-error", f"repeated index in {idx}")
     if idx and not (1 <= idx[0] and idx[-1] <= m.size):
         raise DomainError("input-error", f"indices out of range in {idx}")
+    if len(idx) % 2:
+        raise DomainError("input-error", f"pfaffian needs an even index set, got {len(idx)}")
     return idx
 
 
@@ -244,27 +246,30 @@ def pfaffian(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
     """Pfaffian of the principal submatrix on an even index subset
     (default: everything), by recursive expansion along the first row."""
     idx = _check_subset(m, subset if subset is not None else range(1, m.size + 1))
-    if len(idx) % 2:
-        raise DomainError("input-error", f"pfaffian needs an even index set, got {len(idx)}")
-    memo: dict = {}
-    return _pf(m, idx, memo)
+    return _pf(m.upper, idx, m.ring.one(), m.ring.zero(), {})
 
 
-def _pf(m: AlternatingMatrix, idx: tuple[int, ...], memo: dict) -> SparsePolynomial:
+def _pf(upper: dict, idx: tuple, one, zero, memo: dict):
+    """First-row expansion of the pfaffian on the index tuple idx.
+
+    ``upper`` maps (i, j) with i < j to the nonzero entries; ``one`` and
+    ``zero`` are those of the coefficient ring (SparsePolynomial or int), and
+    ``memo`` caches sub-pfaffians by index tuple.
+    """
     if not idx:
-        return m.ring.one()
+        return one
     cached = memo.get(idx)
     if cached is not None:
         return cached
     first = idx[0]
     rest = idx[1:]
-    total = m.ring.zero()
+    total = zero
     for pos, other in enumerate(rest):
-        entry = m.upper.get((first, other))
+        entry = upper.get((first, other))
         if entry is None:
             continue
-        sub = _pf(m, tuple(k for k in rest if k != other), memo)
-        if sub.is_zero:
+        sub = _pf(upper, tuple(k for k in rest if k != other), one, zero, memo)
+        if sub == zero:
             continue
         term = entry * sub
         total = total + term if pos % 2 == 0 else total - term
@@ -275,8 +280,6 @@ def _pf(m: AlternatingMatrix, idx: tuple[int, ...], memo: dict) -> SparsePolynom
 def pfaffian_last_row(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
     """Same pfaffian by expansion along the last row (implementation cross-check)."""
     idx = _check_subset(m, subset if subset is not None else range(1, m.size + 1))
-    if len(idx) % 2:
-        raise DomainError("input-error", f"pfaffian needs an even index set, got {len(idx)}")
 
     def rec(ind: tuple[int, ...]) -> SparsePolynomial:
         if not ind:
@@ -299,16 +302,17 @@ def sub_pfaffians(m: AlternatingMatrix) -> list[SparsePolynomial]:
     matrix must have odd size.  Each p_i is homogeneous of degree d_i."""
     if m.size % 2 == 0:
         raise DomainError("input-error", f"need odd size, got {m.size}")
-    memo: dict = {}
+    one, zero, memo = m.ring.one(), m.ring.zero(), {}
     full = tuple(range(1, m.size + 1))
     return [
-        _pf(m, tuple(k for k in full if k != i), memo)
+        _pf(m.upper, tuple(k for k in full if k != i), one, zero, memo)
         for i in full
     ]
 
 
 def pfaffian_int(mat) -> int:
-    """Pfaffian of an integer alternating matrix (0-based list of rows)."""
+    """Pfaffian of an integer alternating matrix (0-based list of rows), by
+    the same first-row expansion as ``pfaffian``."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DomainError("input-error", "matrix is not square")
@@ -320,22 +324,8 @@ def pfaffian_int(mat) -> int:
                 raise DomainError("input-error", "matrix is not alternating")
     if n % 2:
         raise DomainError("input-error", f"pfaffian needs even size, got {n}")
-
-    def rec(idx: tuple[int, ...]) -> int:
-        if not idx:
-            return 1
-        first = idx[0]
-        rest = idx[1:]
-        total = 0
-        for pos, other in enumerate(rest):
-            a = mat[first][other]
-            if a == 0:
-                continue
-            sub = rec(tuple(k for k in rest if k != other))
-            total += a * sub if pos % 2 == 0 else -a * sub
-        return total
-
-    return rec(tuple(range(n)))
+    upper = {(i, j): mat[i][j] for i in range(n) for j in range(i + 1, n) if mat[i][j]}
+    return _pf(upper, tuple(range(n)), 1, 0, {})
 
 
 def pf_squared_equals_det(mat) -> bool:

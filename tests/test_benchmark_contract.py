@@ -1,0 +1,52 @@
+"""What the benchmark harness in ``benchmarks/`` needs from the package.
+
+The traced replay wraps functions by name (``benchmarks/tracing.py``), and
+the import probe of ``benchmarks/run.py`` reads the ``-X importtime`` line of
+``jsonschema`` under ``import aci3.cli``.  Renaming a traced function or no
+longer importing jsonschema at start-up breaks the benchmark run; these
+tests make either show up in the test suite first.
+"""
+
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from aci3 import koszul, monomials
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", ROOT / "benchmarks" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_removes():
+    tracing = _load_tracing()
+    original = koszul.betti_numbers
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert koszul.betti_numbers is not original
+        koszul.betti_numbers(monomials.rigid_witness(2))
+    finally:
+        tracer.remove()
+    assert koszul.betti_numbers is original
+    names = {span[0] for span in tracer.spans}
+    assert {"koszul.betti_numbers", "intmat.int_rank"} <= names
+
+
+def test_cli_import_loads_jsonschema():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([path] if path else [])))
+    err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import aci3.cli"],
+                         env=env, capture_output=True, text=True, check=True).stderr
+    imported = {m.group(1) for m in re.finditer(r"^import time:.*\| *(\S+)$", err, re.M)}
+    assert {"aci3.cli", "jsonschema"} <= imported

@@ -23,7 +23,7 @@ from aci3 import (
     maximal_table,
     t_max,
 )
-from aci3.classify import EVEN, ODD, PosetEdge
+from aci3.classify import EVEN, MAX_POSET_NODES, ODD, PosetEdge
 
 
 class TestGaeta:
@@ -214,6 +214,14 @@ class TestEnumerate:
         for h in range(a + 1, 3 * a - 1):
             d = (h - a) // 2 + 1 if h <= 2 * a - 1 else (3 * a - h) // 2
             assert len(enumerate_tables(a, h).nodes) == 2 ** d - 1, (a, h)
+
+    def test_too_large_rejected_before_enumerating(self):
+        # d = 12 gives 2^12 - 1 = MAX_POSET_NODES nodes, the largest poset built
+        assert MAX_POSET_NODES == 4095
+        for a, h, d in ((25, 49, 13), (60, 119, 30), (10 ** 9, 2 * 10 ** 9, 5 * 10 ** 8)):
+            with pytest.raises(DomainError, match=f"2\\^{d} - 1 nodes") as exc:
+                enumerate_tables(a, h)
+            assert exc.value.code == "too-large"
 
     @pytest.mark.parametrize("a", range(2, 10))
     def test_closed_under_cancellation(self, a):

@@ -4,6 +4,7 @@ file outputs, and the CAS export scripts."""
 import argparse
 import hashlib
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -188,6 +189,16 @@ class TestInputErrors:
             main(["classify", "tmax", "--help"])
         assert exc.value.code == 0
         assert "--a" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "tables", "--a", "60", "--h", "119"], "too-large"),
+        (["gorenstein", "delta-low", "--a", "3", "--h", "1000000000"], "h-out-of-range"),
+        (["gorenstein", "delta-high", "--a", "3", "--h", "1000000000"], "h-out-of-range"),
+    ])
+    def test_oversized_inputs_fail_at_once(self, argv, code, capsys):
+        start = time.perf_counter()
+        assert json_error(argv, capsys) == code
+        assert time.perf_counter() - start < 1.0
 
 
 def routes():

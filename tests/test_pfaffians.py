@@ -4,6 +4,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aci3 import (
     DomainError,
@@ -183,6 +185,38 @@ class TestPfaffianInt:
         rng = random.Random(8)
         for _ in range(10):
             assert int_det(random_alternating(5, rng)) == 0
+
+
+def _alternating(size, upper):
+    """Integer alternating matrix with the given upper entries, row by row."""
+    mat = [[0] * size for _ in range(size)]
+    values = iter(upper)
+    for i in range(size):
+        for j in range(i + 1, size):
+            mat[i][j] = next(values)
+            mat[j][i] = -mat[i][j]
+    return mat
+
+
+class TestPfaffianIntSign:
+    # Pf(M)^2 = det(M) cannot see the sign of the pfaffian; these can.
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-20, 20), min_size=6, max_size=6))
+    def test_closed_form_4x4(self, upper):
+        a12, a13, a14, a23, a24, a34 = upper
+        assert pfaffian_int(_alternating(4, upper)) == a12 * a34 - a13 * a24 + a14 * a23
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-9, 9), min_size=15, max_size=15),
+           st.permutations(range(6)))
+    def test_permutation_6x6(self, upper, perm):
+        # Pf(P^T M P) = det(P) Pf(M) for the permutation matrix P
+        mat = _alternating(6, upper)
+        p = [[1 if perm[j] == i else 0 for j in range(6)] for i in range(6)]
+        moved = [[sum(p[k][i] * mat[k][l] * p[l][j] for k in range(6) for l in range(6))
+                  for j in range(6)] for i in range(6)]
+        assert pfaffian_int(moved) == int_det(p) * pfaffian_int(mat)
 
 
 class TestWitnessIdeals:

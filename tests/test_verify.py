@@ -1,0 +1,70 @@
+"""Failure paths of the verification suite: each check reports ok = False,
+under its usual name, when one of its dependencies gives a wrong answer."""
+
+import json
+
+import pytest
+
+from aci3 import cas, classify, koszul, liaison, monomials, pfaffians, verify
+from aci3.cli import main
+from aci3.hilbert import HilbertFunction
+
+BROKEN = [
+    (verify.check_aci_hilbert, "monomial/aci-hilbert-equals-ci",
+     monomials, "hilbert_function", lambda ideal: HilbertFunction((1,))),
+    (verify.check_colon_link, "monomial/colon-link-type",
+     monomials, "ci_type", lambda ideal: None),
+    (verify.check_rigid_resolution, "betti/rigid-resolution-oracle",
+     koszul, "verify_resolution", lambda ideal, expected: (False, ["broken"])),
+    (verify.check_classification_coherence, "classification/coherence",
+     classify, "d_star", lambda a, h, t: 0),
+    (verify.check_t_max, "classification/t-max",
+     classify, "t_max", lambda a: 0),
+    (verify.check_ah_cancellation, "classification/ah-cancellation",
+     classify, "cancel_ah", lambda node: node),
+    (verify.check_ci_link_identity, "liaison/ci-link-identity",
+     liaison, "ci_link_identity", lambda a, h: False),
+    (verify.check_gaeta, "gaeta/delta-builders",
+     classify, "gaeta_check", lambda delta: classify.GaetaResult(False, "broken")),
+    (verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
+     pfaffians, "sub_pfaffians", lambda m: [m.ring.one()] * m.size),
+    (verify.check_pf_squared, "pfaffian/pf-squared-equals-det",
+     pfaffians, "pf_squared_equals_det", lambda mat: False),
+    (verify.check_witness_degrees, "pfaffian/witness-ideals",
+     pfaffians, "sub_pfaffians", lambda m: [m.ring.zero()] * m.size),
+    (verify.check_cas_scripts, "cas/scripts",
+     cas, "script_is_balanced", lambda text: False),
+]
+
+
+@pytest.mark.parametrize("check, name, module, attr, wrong", BROKEN,
+                         ids=[case[1] for case in BROKEN])
+def test_check_reports_failure(monkeypatch, check, name, module, attr, wrong):
+    assert check().ok
+    monkeypatch.setattr(module, attr, wrong)
+    result = check()
+    assert result.ok is False
+    assert result.name == name
+
+
+def test_every_check_has_a_failure_case():
+    plan = verify.verify_suite("all", max_degree=2, max_a=2)
+    assert sorted(c.name for c in plan.checks) == sorted(case[1] for case in BROKEN)
+
+
+def test_pf_squared_checks_the_shared_expansion(monkeypatch):
+    # pfaffian_int runs on the expansion behind pfaffian and sub_pfaffians
+    original = pfaffians._pf
+    monkeypatch.setattr(pfaffians, "_pf", lambda *args: original(*args) + args[2])
+    assert verify.check_pf_squared().ok is False
+
+
+def test_cli_verify_exits_1_on_failure(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "gaeta_check",
+                        lambda delta: classify.GaetaResult(False, "broken"))
+    assert main(["verify", "--scope", "gaeta"]) == 1
+    out = capsys.readouterr().out
+    assert '"passed":false' in out
+    (check,) = json.loads(out)["checks"]
+    assert check == {"name": "gaeta/delta-builders", "ok": False,
+                     "detail": "delta_low(2, 3) fails"}
