@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -78,18 +79,25 @@ def _hf(text: str) -> HilbertFunction:
     return HilbertFunction(_ints(text))
 
 
-def _output_path(name: str) -> str:
+def _write_output(name: str, text: str) -> str:
+    """Write ``text`` to ``name`` under ACI3_OUTPUT_DIR; an OSError is an input-error."""
     base = os.environ.get("ACI3_OUTPUT_DIR", ".")
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, name)
+    path = os.path.join(base, name)
+    try:
+        os.makedirs(base, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError("input-error", f"cannot write {path}: {exc}") from exc
+    return path
 
 
-def _write_hilbert_csv(path: str, values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "value"])
-        for n, v in enumerate(values):
-            writer.writerow([n, v])
+def _hilbert_csv(h: HilbertFunction) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["degree", "value"])
+    writer.writerows(enumerate(h.values))
+    return out.getvalue()
 
 
 def _poly_json(p: pfaffians.SparsePolynomial) -> dict:
@@ -122,7 +130,7 @@ def _ideal_from_args(args) -> monomials.MonomialIdeal:
 def _cmd_hf_ci(args):
     h = ci_hilbert(_ints(args.degrees))
     if args.csv:
-        _write_hilbert_csv(_output_path(args.csv), h.values)
+        _write_output(args.csv, _hilbert_csv(h))
     return h.to_json(), ("ci-hilbert-koszul-product",)
 
 
@@ -134,7 +142,7 @@ def _cmd_hf_from_betti(args):
     table = BettiTable.from_json(_json_flag(args.table, "--table"))
     h = hilbert_from_betti(table)
     if args.csv:
-        _write_hilbert_csv(_output_path(args.csv), h.values)
+        _write_output(args.csv, _hilbert_csv(h))
     return h.to_json(), ("betti-determines-hilbert",)
 
 
@@ -241,10 +249,10 @@ def _cmd_pfaffian_alt(args):
 
 def _cmd_pfaffian_sub(args):
     m = pfaffians.alt_matrix(_ints(args.delta))
-    subs = pfaffians.sub_pfaffians(m)
     if not 1 <= args.i <= m.size:
         raise DomainError("input-error", f"--i must be in 1..{m.size}")
-    return _poly_json(subs[args.i - 1]), ("sub-pfaffians",)
+    p_i = pfaffians.pfaffian(m, [k for k in range(1, m.size + 1) if k != args.i])
+    return _poly_json(p_i), ("sub-pfaffians",)
 
 
 def _cmd_pfaffian_example(args):
@@ -269,10 +277,7 @@ def _cmd_export_cas(args):
         if args.expected:
             payload_in["expected"] = _json_flag(args.expected, "--expected")
     script = cas.export_cas(args.kind, payload_in)
-    name = args.out or f"{args.kind}.m2"
-    path = _output_path(name)
-    with open(path, "w") as fh:
-        fh.write(script)
+    path = _write_output(args.out or f"{args.kind}.m2", script)
     digest = hashlib.sha256(script.encode()).hexdigest()
     payload = {"kind": args.kind, "path": path,
                "bytes": len(script.encode()), "sha256": digest}

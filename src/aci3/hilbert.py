@@ -19,6 +19,12 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError
 
+# Size caps checked before any work (code too-large); the largest accepted
+# call of each function takes well under a second.
+MAX_CI_DEGREE_SUM = 2000            # ci_hilbert: the sum of the degrees
+MAX_BETTI_SUM_TERMS = 100_000       # hilbert_from_betti: (top twist + c + 1) x (levels + twists)
+MAX_DIFFERENCE_WORK = 1_000_000     # difference: order x output length
+
 
 def _monomial_count(degree: int, c: int) -> int:
     """Number of monomials of the given degree in c variables (0 if degree < 0)."""
@@ -161,9 +167,11 @@ def ci_hilbert(degrees: DegreesLike) -> HilbertFunction:
     """Hilbert function of a complete intersection with the given degrees.
 
     Coefficients of prod_i (1 + t + ... + t^(a_i - 1)); the empty tuple gives
-    the sequence (1).
+    the sequence (1).  Degree sums above ``MAX_CI_DEGREE_SUM`` are too-large.
     """
     degs = as_degrees(degrees)
+    if sum(degs) > MAX_CI_DEGREE_SUM:
+        raise DomainError("too-large", f"degree sum {sum(degs)} exceeds {MAX_CI_DEGREE_SUM}")
     coeffs = [1]
     for a in degs:
         out = [0] * (len(coeffs) + a - 1)
@@ -194,10 +202,13 @@ def difference(h: HilbertFunction, k: int = 1) -> tuple[int, ...]:
     """k-fold first difference of h, over the full range where it can be nonzero.
 
     Delta H(n) = H(n) - H(n-1) with H zero outside its support; the result has
-    length len(h.values) + k and may be negative.
+    length len(h.values) + k and may be negative.  Orders whose work k times
+    that length exceeds ``MAX_DIFFERENCE_WORK`` are too-large.
     """
     if k < 0:
         raise DomainError("input-error", f"difference order must be >= 0, got {k}")
+    if k * (len(h.values) + k) > MAX_DIFFERENCE_WORK:
+        raise DomainError("too-large", f"order {k} on {len(h.values)} values: too many steps")
     vals = list(h.values)
     for _ in range(k):
         nxt = []
@@ -234,9 +245,13 @@ def hilbert_from_betti(b: BettiTable) -> HilbertFunction:
 
     Each summand R(-j) at level i contributes (-1)^i times the count of
     monomials of degree n - j in c variables.  Raises if a value is negative
-    or if the support is not finite.
+    or if the support is not finite, and too-large if the sum has more than
+    ``MAX_BETTI_SUM_TERMS`` terms.
     """
     m = b.max_twist()
+    terms = (m + b.c + 1) * (b.c + 1 + sum(len(level) for level in b.levels))
+    if terms > MAX_BETTI_SUM_TERMS:
+        raise DomainError("too-large", f"{terms} alternating-sum terms > {MAX_BETTI_SUM_TERMS}")
     vals = betti_alternating_sum(b, m + b.c)
     if any(v < 0 for v in vals):
         raise DomainError("not-hilbert-function", "table not a Hilbert function")

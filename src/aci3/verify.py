@@ -4,10 +4,16 @@ checkable test, runnable from the CLI (``aci3 verify``) or from pytest.
 All checks are exact (tolerance zero); the checks are grouped into scopes so
 desk-scale bounds (generator-degree caps, a caps) can be adjusted from the
 command line.
+
+To declare a check, decorate it with ``@_check("<scope>/<name>")``: the body
+returns the detail line of a pass or raises ``_Failed(detail)``, and the
+decorator makes either a :class:`CheckResult`.  Then list it under its scope
+in ``_PLAN``, mapping ``max_degree`` and ``max_a`` onto its own bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -17,7 +23,23 @@ from .classify import EVEN, ODD
 from .errors import DomainError
 from .hilbert import BettiTable, ci_hilbert, hilbert_from_betti
 
-SCOPES = ("monomial", "betti", "classification", "liaison", "gaeta", "pfaffian", "cas")
+# Scope -> its checks, in run order.  An entry looks its check up by name when
+# it runs, so a replaced module attribute (a tracer, a test stub) is what runs.
+_PLAN = {
+    "monomial": (lambda max_degree, max_a: check_aci_hilbert(max_degree),
+                 lambda max_degree, max_a: check_colon_link(max_degree)),
+    "betti": (lambda max_degree, max_a: check_rigid_resolution(min(max_a, 5)),),
+    "classification": (lambda max_degree, max_a: check_classification_coherence(max_a),
+                       lambda max_degree, max_a: check_t_max(max(max_a, 8)),
+                       lambda max_degree, max_a: check_ah_cancellation(max_a)),
+    "liaison": (lambda max_degree, max_a: check_ci_link_identity(max(max_a, 8)),),
+    "gaeta": (lambda max_degree, max_a: check_gaeta(max(max_a, 8)),),
+    "pfaffian": (lambda max_degree, max_a: check_pfaffian_degrees(),
+                 lambda max_degree, max_a: check_pf_squared(),
+                 lambda max_degree, max_a: check_witness_degrees()),
+    "cas": (lambda max_degree, max_a: check_cas_scripts(),),
+}
+SCOPES = tuple(_PLAN)
 
 
 @dataclass(frozen=True)
@@ -47,10 +69,28 @@ class Report:
         }
 
 
+class _Failed(Exception):
+    """Raised by a check body; its one argument is the failure detail."""
+
+
+def _check(name: str):
+    """Declare a check named ``name``: the only place a CheckResult is built."""
+    def declare(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                return CheckResult(name, True, body(*args, **kwargs))
+            except _Failed as failure:
+                return CheckResult(name, False, failure.args[0])
+        return check
+    return declare
+
+
 def _sorted_triples(lo: int, hi: int):
     return combinations_with_replacement(range(lo, hi + 1), 3)
 
 
+@_check("monomial/aci-hilbert-equals-ci")
 def check_aci_hilbert(max_degree: int = 5) -> CheckResult:
     """The monomial almost complete intersection has the complete
     intersection's Hilbert function, for every degree triple and admissible h."""
@@ -60,13 +100,12 @@ def check_aci_hilbert(max_degree: int = 5) -> CheckResult:
         for h in range(degs[2] + 1, degs[2] + degs[0]):
             ideal = monomials.aci_construction(degs, h)
             if monomials.hilbert_function(ideal) != expected:
-                return CheckResult("monomial/aci-hilbert-equals-ci", False,
-                                   f"mismatch at degrees {degs}, h = {h}")
+                raise _Failed(f"mismatch at degrees {degs}, h = {h}")
             cases += 1
-    return CheckResult("monomial/aci-hilbert-equals-ci", True,
-                       f"{cases} (degrees, h) cases, degrees <= {max_degree}")
+    return f"{cases} (degrees, h) cases, degrees <= {max_degree}"
 
 
+@_check("monomial/colon-link-type")
 def check_colon_link(max_degree: int = 5) -> CheckResult:
     """The colon of the pure-power complete intersection by the monomial ACI
     is a monomial complete intersection of type (h - a3, a1, a2), and the
@@ -76,24 +115,21 @@ def check_colon_link(max_degree: int = 5) -> CheckResult:
         a1, a2, a3 = degs
         for h in range(a3 + 1, a3 + a1):
             quotient = monomials.aci_construction(degs, h)
-            ci = monomials.MonomialIdeal(
-                3, ((a1, 0, 0), (0, a2, 0), (0, 0, h)))
+            ci = monomials.MonomialIdeal(3, ((a1, 0, 0), (0, a2, 0), (0, 0, h)))
             linked = monomials.colon(ci, quotient)
             got_type = monomials.ci_type(linked)
             want_type = tuple(sorted((h - a3, a1, a2)))
             if got_type != want_type:
-                return CheckResult("monomial/colon-link-type", False,
-                                   f"type {got_type} != {want_type} at {degs}, h = {h}")
+                raise _Failed(f"type {got_type} != {want_type} at {degs}, h = {h}")
             via_link = liaison.link_hilbert(
                 tuple(sorted((a1, a2, h))), monomials.hilbert_function(quotient))
             if via_link != monomials.hilbert_function(linked):
-                return CheckResult("monomial/colon-link-type", False,
-                                   f"Hilbert mismatch at {degs}, h = {h}")
+                raise _Failed(f"Hilbert mismatch at {degs}, h = {h}")
             cases += 1
-    return CheckResult("monomial/colon-link-type", True,
-                       f"{cases} (degrees, h) cases, degrees <= {max_degree}")
+    return f"{cases} (degrees, h) cases, degrees <= {max_degree}"
 
 
+@_check("betti/rigid-resolution-oracle")
 def check_rigid_resolution(max_a: int = 5) -> CheckResult:
     """The Koszul-homology oracle on (x^a, y^(a+1), z^a, x^(a-1)y) returns
     exactly the rigid h = a + 1 table, for a = 2..max_a."""
@@ -106,20 +142,38 @@ def check_rigid_resolution(max_a: int = 5) -> CheckResult:
         ))
         ok, diffs = koszul.verify_resolution(monomials.rigid_witness(a), expected)
         if not ok:
-            return CheckResult("betti/rigid-resolution-oracle", False,
-                               f"a = {a}: {diffs}")
-    return CheckResult("betti/rigid-resolution-oracle", True,
-                       f"a = 2..{max_a}, exact twist multisets")
+            raise _Failed(f"a = {a}: {diffs}")
+    return f"a = 2..{max_a}, exact twist multisets"
 
 
-def _g_part(node: classify.AciTable) -> list[int]:
-    level3 = list(node.table.levels[3])
-    level3.remove(3 * node.a)
+def _coherence_failure(a: int, h: int, node: classify.AciTable, expected) -> str | None:
+    """The first law of check_classification_coherence that the node breaks."""
+    levels = node.table.levels
+    if hilbert_from_betti(node.table) != expected:
+        return "Hilbert mismatch"
+    g_part = list(levels[3])    # level 3 without its forced twists
+    g_part.remove(3 * a)
     if node.t % 2 == 0:
-        level3.remove(node.a + node.h)
-    return level3
+        g_part.remove(a + h)
+    if sorted(3 * a + h - j for j in g_part) != g_part:
+        return "self-duality fails"
+    m2, m3 = levels[2].count(a + h), levels[3].count(a + h)
+    if node.t % 2 == 0 and (m2 != 1 or m3 != 1):
+        return f"a+h multiplicity ({m2}, {m3}) != (1, 1)"
+    # at h = 2a the forced level-3 twist 3a coincides with a+h
+    if node.t % 2 == 1 and (m2 != 0 or m3 != (1 if h == 2 * a else 0)):
+        return "unexpected a+h syzygy"
+    if h >= 2 * a and node.t % 2 == 0:
+        return "even t with h >= 2a"
+    want_dstar = a if node.t % 2 == 0 else h
+    if classify.d_star(a, h, node.t) != want_dstar:
+        return f"d* != {want_dstar}"
+    if levels[2].count(2 * a) < 3 or levels[3].count(3 * a) != 1:
+        return "forced syzygies missing"
+    return None
 
 
+@_check("classification/coherence")
 def check_classification_coherence(max_a: int = 6) -> CheckResult:
     """Every enumerated table reproduces H_CI(a,a,a); the self-dual part of
     level 3 is fixed under j -> 3a+h-j; a+h sits at level 2 iff t is even
@@ -129,61 +183,33 @@ def check_classification_coherence(max_a: int = 6) -> CheckResult:
     for a in range(2, max_a + 1):
         expected = ci_hilbert((a, a, a))
         for h in range(a + 1, 3 * a - 1):
-            poset = classify.enumerate_tables(a, h)
-            for node in poset.nodes:
-                tag = f"(a, h) = ({a}, {h}), levels = {node.table.levels}"
-                if hilbert_from_betti(node.table) != expected:
-                    return CheckResult("classification/coherence", False,
-                                       f"Hilbert mismatch at {tag}")
-                s = 3 * a + h
-                g_part = _g_part(node)
-                if sorted(s - j for j in g_part) != g_part:
-                    return CheckResult("classification/coherence", False,
-                                       f"self-duality fails at {tag}")
-                ah = a + h
-                m2 = node.table.levels[2].count(ah)
-                m3 = node.table.levels[3].count(ah)
-                if node.t % 2 == 0 and (m2 != 1 or m3 != 1):
-                    return CheckResult("classification/coherence", False,
-                                       f"a+h multiplicity ({m2}, {m3}) != (1, 1) at {tag}")
-                if node.t % 2 == 1:
-                    # at h = 2a the forced level-3 twist 3a coincides with a+h
-                    if m2 != 0 or m3 != (1 if h == 2 * a else 0):
-                        return CheckResult("classification/coherence", False,
-                                           f"unexpected a+h syzygy at {tag}")
-                if h >= 2 * a and node.t % 2 == 0:
-                    return CheckResult("classification/coherence", False,
-                                       f"even t with h >= 2a at {tag}")
-                want_dstar = a if node.t % 2 == 0 else h
-                if classify.d_star(a, h, node.t) != want_dstar:
-                    return CheckResult("classification/coherence", False,
-                                       f"d* != {want_dstar} at {tag}")
-                if node.table.levels[2].count(2 * a) < 3 or node.table.levels[3].count(3 * a) != 1:
-                    return CheckResult("classification/coherence", False,
-                                       f"forced syzygies missing at {tag}")
+            for node in classify.enumerate_tables(a, h).nodes:
+                failure = _coherence_failure(a, h, node, expected)
+                if failure is not None:
+                    raise _Failed(f"{failure} at (a, h) = ({a}, {h}), "
+                                  f"levels = {node.table.levels}")
                 tables += 1
-    return CheckResult("classification/coherence", True,
-                       f"{tables} tables, a = 2..{max_a}, all admissible h")
+    return f"{tables} tables, a = 2..{max_a}, all admissible h"
 
 
+@_check("classification/t-max")
 def check_t_max(max_a: int = 8) -> CheckResult:
     """max t over the tables enumerated at h = 2a equals a+1 for even a and
     a for odd a; for even a this is also the maximum over every h."""
     for a in range(2, max_a + 1):
         at_2a = max(node.t for node in classify.enumerate_tables(a, 2 * a).nodes)
         if at_2a != classify.t_max(a):
-            return CheckResult("classification/t-max", False,
-                               f"a = {a}: max t at h = 2a is {at_2a}, expected {classify.t_max(a)}")
+            raise _Failed(f"a = {a}: max t at h = 2a is {at_2a}, expected {classify.t_max(a)}")
         if a % 2 == 0:
             overall = max(node.t
                           for h in range(a + 1, 3 * a - 1)
                           for node in classify.enumerate_tables(a, h).nodes)
             if overall != classify.t_max(a):
-                return CheckResult("classification/t-max", False,
-                                   f"a = {a}: global max t {overall} != {classify.t_max(a)}")
-    return CheckResult("classification/t-max", True, f"a = 2..{max_a}, attained at h = 2a")
+                raise _Failed(f"a = {a}: global max t {overall} != {classify.t_max(a)}")
+    return f"a = 2..{max_a}, attained at h = 2a"
 
 
+@_check("classification/ah-cancellation")
 def check_ah_cancellation(max_a: int = 6) -> CheckResult:
     """cancel_ah succeeds on an even-family table iff t >= 4, and its output
     is the odd-family table obtained by the same couple cancellations."""
@@ -198,55 +224,50 @@ def check_ah_cancellation(max_a: int = 6) -> CheckResult:
                 if node.t >= 4:
                     got = classify.cancel_ah(node)
                     if got.t != node.t - 1 or got.table.levels not in odd_levels:
-                        return CheckResult(
-                            "classification/ah-cancellation", False,
-                            f"bad cancellation at (a, h) = ({a}, {h}), t = {node.t}")
+                        raise _Failed(f"bad cancellation at (a, h) = ({a}, {h}), t = {node.t}")
                 else:
                     try:
                         classify.cancel_ah(node)
                     except DomainError:
                         pass
                     else:
-                        return CheckResult(
-                            "classification/ah-cancellation", False,
+                        raise _Failed(
                             f"t = {node.t} cancellation should fail at (a, h) = ({a}, {h})")
                 cases += 1
-    return CheckResult("classification/ah-cancellation", True,
-                       f"{cases} even-family tables, a = 2..{max_a}")
+    return f"{cases} even-family tables, a = 2..{max_a}"
 
 
+@_check("liaison/ci-link-identity")
 def check_ci_link_identity(max_a: int = 8) -> CheckResult:
     """H_CI(a,a,h)(n) - H_CI(a,a,a)(2a+h-3-n) = H_CI(h-a,a,a)(n) throughout."""
     cases = 0
     for a in range(2, max_a + 1):
         for h in range(a + 1, 3 * a - 1):
             if not liaison.ci_link_identity(a, h):
-                return CheckResult("liaison/ci-link-identity", False,
-                                   f"fails at (a, h) = ({a}, {h})")
+                raise _Failed(f"fails at (a, h) = ({a}, {h})")
             cases += 1
-    return CheckResult("liaison/ci-link-identity", True,
-                       f"{cases} (a, h) pairs, a = 2..{max_a}")
+    return f"{cases} (a, h) pairs, a = 2..{max_a}"
 
 
+@_check("gaeta/delta-builders")
 def check_gaeta(max_a: int = 8) -> CheckResult:
     """Both delta builders pass the Gaeta conditions over their full ranges;
     the known good sequence passes and a constructed violator fails."""
     for a in range(2, max_a + 1):
         for h in range(a + 1, 2 * a):
             if not classify.gaeta_check(classify.delta_low(a, h)).ok:
-                return CheckResult("gaeta/delta-builders", False,
-                                   f"delta_low({a}, {h}) fails")
+                raise _Failed(f"delta_low({a}, {h}) fails")
         for h in range(2 * a, 3 * a - 1):
             if not classify.gaeta_check(classify.delta_high(a, h)).ok:
-                return CheckResult("gaeta/delta-builders", False,
-                                   f"delta_high({a}, {h}) fails")
+                raise _Failed(f"delta_high({a}, {h}) fails")
     if not classify.gaeta_check((2, 3, 3, 4, 4)).ok:
-        return CheckResult("gaeta/delta-builders", False, "(2,3,3,4,4) should pass")
+        raise _Failed("(2,3,3,4,4) should pass")
     if classify.gaeta_check((2, 2, 5, 5, 5, 5, 6)).ok:
-        return CheckResult("gaeta/delta-builders", False, "(2,2,5,5,5,5,6) should fail")
-    return CheckResult("gaeta/delta-builders", True, f"a = 2..{max_a}, both ranges")
+        raise _Failed("(2,2,5,5,5,5,6) should fail")
+    return f"a = 2..{max_a}, both ranges"
 
 
+@_check("pfaffian/sub-pfaffian-degrees")
 def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
     """Each sub-pfaffian p_i of Alt(delta) is homogeneous of degree d_i, for
     every sorted delta with integral theta, length <= max_len, entries <=
@@ -260,12 +281,9 @@ def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
             m = pfaffians.alt_matrix(degs)
             for i, p in enumerate(pfaffians.sub_pfaffians(m)):
                 if not p.is_zero and (not p.is_homogeneous() or p.degree() != degs[i]):
-                    return CheckResult(
-                        "pfaffian/sub-pfaffian-degrees", False,
-                        f"deg p_{i + 1} != {degs[i]} for delta = {degs}")
+                    raise _Failed(f"deg p_{i + 1} != {degs[i]} for delta = {degs}")
             cases += 1
-    return CheckResult("pfaffian/sub-pfaffian-degrees", True,
-                       f"{cases} degree sequences, length <= {max_len}, entries <= {max_entry}")
+    return f"{cases} degree sequences, length <= {max_len}, entries <= {max_entry}"
 
 
 def random_alternating(size: int, rng: random.Random, bound: int = 9):
@@ -278,6 +296,7 @@ def random_alternating(size: int, rng: random.Random, bound: int = 9):
     return mat
 
 
+@_check("pfaffian/pf-squared-equals-det")
 def check_pf_squared(trials: int = 100) -> CheckResult:
     """Pf(M)^2 = det(M) on random integer alternating specializations of
     sizes 2, 4, 6 (det from the independent Bareiss routine)."""
@@ -286,47 +305,39 @@ def check_pf_squared(trials: int = 100) -> CheckResult:
         for _ in range(trials):
             mat = random_alternating(size, rng)
             if not pfaffians.pf_squared_equals_det(mat):
-                return CheckResult("pfaffian/pf-squared-equals-det", False,
-                                   f"failure at size {size}: {mat}")
-    return CheckResult("pfaffian/pf-squared-equals-det", True,
-                       f"{trials} trials per size in (2, 4, 6)")
+                raise _Failed(f"failure at size {size}: {mat}")
+    return f"{trials} trials per size in (2, 4, 6)"
 
 
+@_check("pfaffian/witness-ideals")
 def check_witness_degrees() -> CheckResult:
     """Both witness ideals for (a, h) = (3, 5) have generator degrees sorting
     to (3, 3, 3, 5), matching level 1 of their tables."""
     w = pfaffians.witness_ideals_a3_h5()
     if any(p.is_zero for p in w.iq + w.iw):
-        return CheckResult("pfaffian/witness-ideals", False, "zero generator")
+        raise _Failed("zero generator")
     if w.degrees_q() != (3, 3, 5, 3) or w.degrees_w() != (3, 3, 5, 3):
-        return CheckResult("pfaffian/witness-ideals", False,
-                           f"degrees {w.degrees_q()}, {w.degrees_w()}")
+        raise _Failed(f"degrees {w.degrees_q()}, {w.degrees_w()}")
     if tuple(sorted(w.degrees_q())) != (3, 3, 3, 5):
-        return CheckResult("pfaffian/witness-ideals", False, "sorted degrees differ")
-    return CheckResult("pfaffian/witness-ideals", True,
-                       "generator degrees (3, 3, 5, 3), sorting to (3, 3, 3, 5)")
+        raise _Failed("sorted degrees differ")
+    return "generator degrees (3, 3, 5, 3), sorting to (3, 3, 3, 5)"
 
 
+@_check("cas/scripts")
 def check_cas_scripts() -> CheckResult:
     """Exported scripts are nonempty, structurally parse-clean, and
     byte-stable across repeated generation."""
-    monomial_payload = {
-        "ideal": monomials.aci_construction((2, 2, 3), 4).to_json(),
-    }
-    for kind, payload in (
-        ("pfaffian-q", {}),
-        ("pfaffian-w", {}),
-        ("monomial", monomial_payload),
-    ):
+    monomial_payload = {"ideal": monomials.aci_construction((2, 2, 3), 4).to_json()}
+    for kind, payload in (("pfaffian-q", {}), ("pfaffian-w", {}), ("monomial", monomial_payload)):
         first = cas.export_cas(kind, payload)
         second = cas.export_cas(kind, payload)
         if first != second:
-            return CheckResult("cas/scripts", False, f"{kind}: not byte-stable")
+            raise _Failed(f"{kind}: not byte-stable")
         if not first.strip() or not cas.script_is_balanced(first):
-            return CheckResult("cas/scripts", False, f"{kind}: unbalanced script")
+            raise _Failed(f"{kind}: unbalanced script")
         if "betti res" not in first:
-            return CheckResult("cas/scripts", False, f"{kind}: missing betti computation")
-    return CheckResult("cas/scripts", True, "3 kinds, byte-stable and balanced")
+            raise _Failed(f"{kind}: missing betti computation")
+    return "3 kinds, byte-stable and balanced"
 
 
 def verify_suite(scope: str = "all", max_degree: int = 5, max_a: int = 6) -> Report:
@@ -334,37 +345,5 @@ def verify_suite(scope: str = "all", max_degree: int = 5, max_a: int = 6) -> Rep
     if scope != "all" and scope not in SCOPES:
         raise DomainError("input-error",
                           f"unknown scope {scope!r}; choose from {('all',) + SCOPES}")
-    plan = {
-        "monomial": [
-            lambda: check_aci_hilbert(max_degree),
-            lambda: check_colon_link(max_degree),
-        ],
-        "betti": [
-            lambda: check_rigid_resolution(min(max_a, 5)),
-        ],
-        "classification": [
-            lambda: check_classification_coherence(max_a),
-            lambda: check_t_max(max(max_a, 8)),
-            lambda: check_ah_cancellation(max_a),
-        ],
-        "liaison": [
-            lambda: check_ci_link_identity(max(max_a, 8)),
-        ],
-        "gaeta": [
-            lambda: check_gaeta(max(max_a, 8)),
-        ],
-        "pfaffian": [
-            check_pfaffian_degrees,
-            check_pf_squared,
-            check_witness_degrees,
-        ],
-        "cas": [
-            check_cas_scripts,
-        ],
-    }
     scopes = SCOPES if scope == "all" else (scope,)
-    checks = []
-    for s in scopes:
-        for fn in plan[s]:
-            checks.append(fn())
-    return Report(scope, tuple(checks))
+    return Report(scope, tuple(run(max_degree, max_a) for s in scopes for run in _PLAN[s]))

@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from aci3 import koszul, monomials
+from aci3 import koszul, monomials, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +40,17 @@ def test_tracer_installs_and_removes():
     assert koszul.betti_numbers is original
     names = {span[0] for span in tracer.spans}
     assert {"koszul.betti_numbers", "intmat.int_rank"} <= names
+
+
+def test_tracer_spans_the_checks_verify_runs():
+    # verify.* per-scope times come from the spans of the check_* functions
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert verify.verify_suite("gaeta").passed
+    finally:
+        tracer.remove()
+    assert "verify.check_gaeta" in {span[0] for span in tracer.spans}
 
 
 def test_cli_import_loads_jsonschema():

@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from aci3 import export_cas, script_is_balanced
+from aci3 import export_cas, pfaffians, script_is_balanced
 from aci3.cli import build_parser, main, run, schema_name, validate_payload
 
 
@@ -43,6 +43,11 @@ class TestHfCommands:
         text = (tmp_path / "hf.csv").read_text()
         assert text.splitlines()[0] == "degree,value"
         assert text.splitlines()[1:] == ["0,1", "1,3", "2,4", "3,3", "4,1"]
+
+    def test_csv_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        payload(["hf", "ci", "--degrees", "2,2", "--csv", "hf.csv"])
+        assert (tmp_path / "hf.csv").read_bytes() == b"degree,value\r\n0,1\r\n1,2\r\n2,1\r\n"
 
 
 class TestOtherCommands:
@@ -194,11 +199,36 @@ class TestInputErrors:
         (["classify", "tables", "--a", "60", "--h", "119"], "too-large"),
         (["gorenstein", "delta-low", "--a", "3", "--h", "1000000000"], "h-out-of-range"),
         (["gorenstein", "delta-high", "--a", "3", "--h", "1000000000"], "h-out-of-range"),
+        (["hf", "ci", "--degrees", "3000000,3000000,3000000"], "too-large"),
+        (["hf", "from-betti", "--table", '{"c":3,"levels":[[0],[100000000],[],[]]}'],
+         "too-large"),
+        (["hf", "diff", "--hf", "1,2", "--order", "100000000"], "too-large"),
     ])
     def test_oversized_inputs_fail_at_once(self, argv, code, capsys):
         start = time.perf_counter()
         assert json_error(argv, capsys) == code
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("out_dir, argv", [
+        ("", ["hf", "ci", "--degrees", "3,3,3", "--csv", "file/x.csv"]),
+        ("", ["hf", "from-betti", "--table", '{"c":3,"levels":[[0],[2,2,2],[4,4,4],[6]]}',
+              "--csv", "file/x.csv"]),
+        ("", ["export", "cas", "--kind", "pfaffian-q", "--out", "file/x.m2"]),
+        ("file/out", ["export", "cas", "--kind", "pfaffian-q"]),
+    ])
+    def test_failed_writes(self, out_dir, argv, tmp_path, monkeypatch, capsys):
+        # a regular file stands where a directory must be, so the write (or
+        # making ACI3_OUTPUT_DIR) fails whatever the permissions
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path / out_dir))
+        assert json_error(argv, capsys) == "input-error"
+
+    def test_pfaffian_sub_checks_i_before_expanding(self, monkeypatch, capsys):
+        def no_expansion(*args):
+            raise AssertionError("expanded before checking --i")
+        monkeypatch.setattr(pfaffians, "_pf", no_expansion)
+        argv = ["pfaffian", "sub", "--delta", "2,3,3,4,4", "--i", "6"]
+        assert json_error(argv, capsys) == "input-error"
 
 
 def routes():
@@ -304,6 +334,13 @@ class TestPinnedPayloads:
 
 
 class TestExportCas:
+    def test_written_bytes_match_the_digest(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        got = payload(["export", "cas", "--kind", "pfaffian-q", "--out", "q.m2"])
+        data = (tmp_path / "q.m2").read_bytes()
+        assert got["sha256"] == hashlib.sha256(data).hexdigest()
+        assert got["bytes"] == len(data)
+
     def test_cli_writes_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
         got = payload(["export", "cas", "--kind", "pfaffian-q"])

@@ -244,3 +244,27 @@ class TestBettiTable:
     def test_json_round_trip(self):
         table = koszul_table((2, 2, 3))
         assert BettiTable.from_json(table.to_json()) == table
+
+
+class TestSizeCaps:
+    """Each cap admits its boundary call and rejects the next one as too-large."""
+
+    def code(self, fn, *args):
+        with pytest.raises(DomainError) as exc:
+            fn(*args)
+        return exc.value.code
+
+    def test_ci_degree_sum(self):
+        assert len(ci_hilbert((666, 667, 667)).values) == 1998
+        assert self.code(ci_hilbert, (667, 667, 667)) == "too-large"
+
+    def test_difference_work(self):
+        assert len(difference(HilbertFunction((1, 2)), 999)) == 1001   # 999 x 1001 steps
+        assert self.code(difference, HilbertFunction((1, 2)), 1000) == "too-large"
+
+    def test_betti_sum_terms(self):
+        # (top twist + 4) x (4 levels + 2 twists) terms
+        at_cap = BettiTable(3, ((0,), (16662,), (), ()))
+        assert self.code(hilbert_from_betti, at_cap) == "non-artinian"
+        past_cap = BettiTable(3, ((0,), (16663,), (), ()))
+        assert self.code(hilbert_from_betti, past_cap) == "too-large"

@@ -52,6 +52,35 @@ def test_every_check_has_a_failure_case():
     assert sorted(c.name for c in plan.checks) == sorted(case[1] for case in BROKEN)
 
 
+def test_scopes_in_run_order():
+    assert verify.SCOPES == ("monomial", "betti", "classification", "liaison", "gaeta",
+                             "pfaffian", "cas")
+
+
+def test_suite_runs_the_current_module_attribute(monkeypatch):
+    # the plan looks each check up when it runs, so a replaced check is the
+    # one that runs (the benchmark's tracer relies on this)
+    stub = verify.CheckResult("gaeta/stub", True, "stubbed")
+    monkeypatch.setattr(verify, "check_gaeta", lambda max_a=8: stub)
+    assert verify.verify_suite("gaeta").checks == (stub,)
+
+
+def test_plan_keeps_the_scope_bounds(monkeypatch):
+    seen = {}
+    for name in ("check_aci_hilbert", "check_rigid_resolution", "check_t_max",
+                 "check_ah_cancellation", "check_gaeta"):
+        def record(bound, name=name):
+            seen[name] = bound
+            return verify.CheckResult(name, True, "")
+        monkeypatch.setattr(verify, name, record)
+    verify.verify_suite("monomial", max_degree=3, max_a=9)
+    verify.verify_suite("betti", max_degree=3, max_a=9)
+    verify.verify_suite("classification", max_degree=3, max_a=4)
+    verify.verify_suite("gaeta", max_degree=3, max_a=4)
+    assert seen == {"check_aci_hilbert": 3, "check_rigid_resolution": 5, "check_t_max": 8,
+                    "check_ah_cancellation": 4, "check_gaeta": 8}
+
+
 def test_pf_squared_checks_the_shared_expansion(monkeypatch):
     # pfaffian_int runs on the expansion behind pfaffian and sub_pfaffians
     original = pfaffians._pf
