@@ -2,9 +2,10 @@
 
 Every subcommand prints a single deterministic JSON payload on stdout (the
 full status envelope with ``--envelope``); errors go to stderr as JSON with
-a machine-readable code, exit status 1.  Payloads are validated against the
-schema files shipped under ``aci3/schemas``.  The environment variable
-``ACI3_OUTPUT_DIR`` sets the directory for written files (CAS scripts, CSV).
+a machine-readable code, exit status 1.  ``schemacheck`` validates payloads
+against the schema files shipped under ``aci3/schemas``.  The environment
+variable ``ACI3_OUTPUT_DIR`` sets the directory for written files (CAS
+scripts, CSV).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-import jsonschema
-
-from . import cas, classify, koszul, liaison, monomials, pfaffians, verify
+from . import cas, classify, koszul, liaison, monomials, pfaffians, schemacheck, verify
 from .errors import DomainError
 from .hilbert import (
     BettiTable,
@@ -52,13 +51,15 @@ class CommandResult:
 
 
 @lru_cache(maxsize=None)
-def _schema(name: str) -> dict:
+def _schema(name: str):
+    """The compiled validator of a shipped schema, built once per process."""
     path = resources.files("aci3").joinpath(f"schemas/{name}.schema.json")
-    return json.loads(path.read_text())
+    return schemacheck.compile_schema(json.loads(path.read_text()))
 
 
 def validate_payload(name: str, payload) -> None:
-    jsonschema.validate(payload, _schema(name))
+    """Raise ``jsonschema.ValidationError`` unless ``payload`` matches the schema."""
+    _schema(name)(payload)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -431,16 +432,24 @@ def schema_name(args) -> str:
 
 
 def run(argv) -> CommandResult:
-    """Parse and execute one command; never raises DomainError."""
+    """Parse, execute and validate one command.
+
+    A DomainError keeps its code.  Any other exception, from a bug or from a
+    payload that breaks its schema, is an ``internal-error`` result instead
+    of a traceback.  SystemExit (``--help``) and KeyboardInterrupt propagate.
+    """
     try:
         args = build_parser().parse_args(argv)
         payload, provenance = args.handler(args)
+        validate_payload(schema_name(args), payload)
+        result = CommandResult("ok", payload=payload, provenance=provenance,
+                               show_envelope=args.envelope)
+        validate_payload("envelope", result.envelope())
     except DomainError as exc:
         return CommandResult("error", code=exc.code, message=str(exc))
-    validate_payload(schema_name(args), payload)
-    result = CommandResult("ok", payload=payload, provenance=provenance,
-                           show_envelope=args.envelope)
-    validate_payload("envelope", result.envelope())
+    except Exception as exc:
+        return CommandResult("error", code="internal-error",
+                             message=f"{type(exc).__name__}: {exc}")
     return result
 
 

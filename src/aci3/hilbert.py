@@ -24,6 +24,7 @@ from .errors import DomainError
 MAX_CI_DEGREE_SUM = 2000            # ci_hilbert: the sum of the degrees
 MAX_BETTI_SUM_TERMS = 100_000       # hilbert_from_betti: (top twist + c + 1) x (levels + twists)
 MAX_DIFFERENCE_WORK = 1_000_000     # difference: order x output length
+MAX_BOUND_DEGREE_SUM = 2000         # min_generator_bound: c + the top degree (j or of h)
 
 
 def _monomial_count(degree: int, c: int) -> int:
@@ -315,12 +316,18 @@ def min_generator_bound(h: HilbertFunction, c: int, j: int) -> int:
     whose quotient has Hilbert function h in c variables.
 
     Uses dim I_j - c * dim I_{j-1} clipped at 0, where dim I_n is the
-    codimension of H(n) inside the full polynomial ring degree n.
+    codimension of H(n) inside the full polynomial ring degree n.  Calls
+    where c plus the top degree (j, or the last degree of h) exceeds
+    ``MAX_BOUND_DEGREE_SUM`` are too-large: each dim R_n is a binomial
+    coefficient of that size, and h needs one per degree.
     """
     if c < 1:
         raise DomainError("input-error", f"need c >= 1, got {c}")
     if j < 0:
         raise DomainError("input-error", f"need degree >= 0, got {j}")
+    size = c + max(j, len(h.values) - 1)
+    if size > MAX_BOUND_DEGREE_SUM:
+        raise DomainError("too-large", f"c + top degree = {size} exceeds {MAX_BOUND_DEGREE_SUM}")
     for n in range(len(h.values)):
         if h.at(n) > _monomial_count(n, c):
             raise DomainError(

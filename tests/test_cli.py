@@ -2,15 +2,21 @@
 file outputs, and the CAS export scripts."""
 
 import argparse
+import copy
 import hashlib
 import json
 import time
+from functools import lru_cache
 from importlib import resources
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aci3 import export_cas, pfaffians, script_is_balanced
+from aci3 import cli, export_cas, pfaffians, script_is_balanced
 from aci3.cli import build_parser, main, run, schema_name, validate_payload
+from aci3.schemacheck import compile_schema
 
 
 def payload(argv):
@@ -203,6 +209,7 @@ class TestInputErrors:
         (["hf", "from-betti", "--table", '{"c":3,"levels":[[0],[100000000],[],[]]}'],
          "too-large"),
         (["hf", "diff", "--hf", "1,2", "--order", "100000000"], "too-large"),
+        (["hf", "bound", "--hf", "1,3,1", "--c", "1000000", "--j", "1000000"], "too-large"),
     ])
     def test_oversized_inputs_fail_at_once(self, argv, code, capsys):
         start = time.perf_counter()
@@ -222,6 +229,20 @@ class TestInputErrors:
         (tmp_path / "file").write_text("")
         monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path / out_dir))
         assert json_error(argv, capsys) == "input-error"
+
+    @pytest.mark.parametrize("handler, exc_name", [
+        (lambda args: ("three", ()), "ValidationError"),   # breaks classify-tmax's schema
+        (lambda args: 1 // 0, "ZeroDivisionError"),
+    ])
+    def test_unexpected_failures_are_internal_errors(self, handler, exc_name, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr(cli, "_cmd_classify_tmax", handler)
+        assert main(["classify", "tmax", "--a", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["code"] == "internal-error"
+        assert err["message"].startswith(exc_name + ": ")
 
     def test_pfaffian_sub_checks_i_before_expanding(self, monkeypatch, capsys):
         def no_expansion(*args):
@@ -247,21 +268,187 @@ def routes():
                 yield group, action, parser
 
 
+@lru_cache(maxsize=None)
+def schema_files():
+    """The shipped schemas as parsed JSON, by name (read-only)."""
+    schemas = resources.files("aci3").joinpath("schemas")
+    return {f.name.removesuffix(".schema.json"): json.loads(f.read_text())
+            for f in schemas.iterdir() if f.name.endswith(".schema.json")}
+
+
+README_CONE = ["liaison", "cone", "--z", "2,2,3",
+               "--table", '{"c":3,"levels":[[0],[2,2,2,3],[3,4,4,4,5],[5,6]]}']
+
+# One call per route, as in the README tour; betti oracle gets a wrong
+# --expected table so that its payload has diff entries.
+TOUR = (
+    ["hf", "ci", "--degrees", "3,3,3"],
+    ["hf", "diff", "--hf", "1,2,1", "--order", "1"],
+    ["hf", "from-betti", "--table", '{"c":3,"levels":[[0],[2,2,2],[4,4,4],[6]]}'],
+    ["hf", "recognize", "--hf", "1,3,3,1"],
+    ["hf", "bound", "--hf", "1,3,1", "--c", "3", "--j", "2"],
+    ["aci", "monomial", "--degrees", "2,2,2", "--h", "3", "--verify"],
+    ["betti", "oracle", "--ideal", '{"c":3,"gens":[[2,0,0],[0,3,0],[0,0,2],[1,1,0]]}',
+     "--expected", '{"c":3,"levels":[[0],[2,2,2],[4,4,4],[6]]}'],
+    ["liaison", "link", "--z", "2,2,3", "--hq", "1,3,3,1"],
+    README_CONE,
+    ["classify", "tables", "--a", "3", "--h", "5"],
+    ["classify", "tmax", "--a", "4"],
+    ["classify", "dstar", "--a", "3", "--h", "5", "--t", "4"],
+    ["gorenstein", "gaeta", "--delta", "2,3,3,4,4"],
+    ["gorenstein", "delta-low", "--a", "3", "--h", "5"],
+    ["gorenstein", "delta-high", "--a", "3", "--h", "6"],
+    ["pfaffian", "alt", "--delta", "2,3,3,4,4"],
+    ["pfaffian", "sub", "--delta", "2,3,3,4,4", "--i", "1"],
+    ["pfaffian", "example"],
+    ["export", "cas", "--kind", "pfaffian-q"],
+    ["verify", "--scope", "gaeta"],
+)
+
+
 class TestRoutes:
     def test_every_route_has_a_schema_and_every_schema_a_route(self):
-        schemas = resources.files("aci3").joinpath("schemas")
-        files = {f.name.removesuffix(".schema.json") for f in schemas.iterdir()
-                 if f.name.endswith(".schema.json")}
         served = set()
         for group, action, parser in routes():
             ns = argparse.Namespace(group=group, action=action, schema=parser.get_default("schema"))
             assert parser.get_default("handler") is not None, (group, action)
             served.add(schema_name(ns))
-        assert served == files - {"envelope"}
+        assert served == set(schema_files()) - {"envelope"}
+
+    def test_the_tour_calls_every_route_once(self):
+        toured = [argv[:1] if argv[0] == "verify" else argv[:2] for argv in TOUR]
+        assert sorted(toured) == sorted([g] if a is None else [g, a] for g, a, _ in routes())
+
+    @pytest.mark.parametrize("argv", TOUR, ids=" ".join)
+    def test_every_route_payload_passes_jsonschema(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        schemas = schema_files()
+        name = schema_name(build_parser().parse_args(argv))
+        jsonschema.validate(json.loads(stdout_of(argv, capsys)), schemas[name])
+        envelope = json.loads(stdout_of(argv + ["--envelope"], capsys))
+        jsonschema.validate(envelope, schemas["envelope"])
+
+    @pytest.mark.parametrize("name", sorted(schema_files()))
+    def test_unsupported_keyword_fails_to_load(self, name):
+        schema = schema_files()[name]
+        compile_schema(schema)
+        with pytest.raises(ValueError, match="format"):
+            compile_schema(dict(schema, format="date"))
 
 
-README_CONE = ["liaison", "cone", "--z", "2,2,3",
-               "--table", '{"c":3,"levels":[[0],[2,2,2,3],[3,4,4,4,5],[5,6]]}']
+@pytest.fixture(scope="module")
+def tour_instances(tmp_path_factory):
+    """(schema name, instance) for the payload of each tour call, plus an ok
+    and an error envelope."""
+    instances = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ACI3_OUTPUT_DIR", str(tmp_path_factory.mktemp("tour")))
+        for argv in TOUR:
+            result = run(argv)
+            assert result.status == "ok", result.message
+            instances.append((schema_name(build_parser().parse_args(argv)), result.payload))
+    for argv in (TOUR[0], ["hf", "ci", "--degrees", "0"]):
+        instances.append(("envelope", run(argv).envelope()))
+    return instances
+
+
+def spots(node, path=()):
+    """Path of every value inside ``node``, ``node`` itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from spots(value, path + (key,))
+
+
+def variants(node):
+    """Replacements for one value: a wrong type, a float 1.0, a value below a
+    minimum, an enum or pattern miss, a dropped or unknown key, one item
+    fewer or more."""
+    out = ["x", True, False, 1.0, 1.5, None, -1, 0, [], {}]
+    if isinstance(node, int) and not isinstance(node, bool):
+        out += [node - 1, float(node)]
+    if isinstance(node, str):
+        out += [node + "!", node.upper(), node[:-1]]
+    if isinstance(node, dict):
+        out += [{k: v for k, v in node.items() if k != key} for key in node]
+        out.append(dict(node, unknown=0))
+    if isinstance(node, list) and node:
+        out += [node[:-1], node + node[-1:]]
+    return out
+
+
+DROP = object()
+
+
+def replaced(instance, path, value):
+    """A copy of ``instance`` with the value at ``path`` replaced by ``value``
+    (deleted if ``value`` is DROP)."""
+    if not path:
+        return value
+    instance = copy.deepcopy(instance)
+    parent = instance
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return instance
+
+
+def agree(name, instance) -> bool:
+    """Whether validate_payload and jsonschema.validate both accept
+    ``instance`` against schema ``name``; fails if they disagree."""
+    verdicts = []
+    for validate in (lambda: validate_payload(name, instance),
+                     lambda: jsonschema.validate(instance, schema_files()[name])):
+        try:
+            validate()
+            verdicts.append(True)
+        except jsonschema.ValidationError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1], (name, instance)
+    return verdicts[0]
+
+
+class TestSchemaCheckAgreesWithJsonschema:
+    """The in-package validator accepts and rejects what jsonschema does, on
+    real payloads of every route and on mutations of them."""
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(data=st.data())
+    def test_mutated_payloads(self, tour_instances, data):
+        name, instance = data.draw(st.sampled_from(tour_instances))
+        path = data.draw(st.sampled_from(list(spots(instance))))
+        node = instance
+        for key in path:
+            node = node[key]
+        agree(name, replaced(instance, path, data.draw(st.sampled_from(variants(node)))))
+
+    @pytest.mark.parametrize("name, path, value, ok", [
+        ("classify-tables", ("edges",), DROP, False),                      # required
+        ("classify-tables", ("extra",), 0, False),                         # unknown key
+        ("classify-tables", ("tables", 0, "t"), "3", False),
+        ("classify-tables", ("tables", 0, "t"), True, False),
+        ("classify-tables", ("tables", 0, "t"), None, False),
+        ("classify-tables", ("tables", 0, "t"), 3.0, True),
+        ("classify-tables", ("tables", 0, "t"), 3.5, False),
+        ("classify-tables", ("tables", 0, "t"), 0, False),                 # minimum 1
+        ("classify-tables", ("tables", 0, "parity"), "neither", False),    # enum
+        ("classify-tables", ("edges", 0, "kind"), 1, False),
+        ("export-cas", ("sha256",), "0" * 63 + "G", False),                # pattern
+        ("liaison-cone", ("candidates", 0), [1], False),                   # minItems
+        ("liaison-cone", ("candidates", 0), [1, 2, 3], False),             # maxItems
+        ("hf-recognize", (0,), 0, False),                                  # oneOf: neither
+        ("hf-recognize", (), None, True),
+        ("gorenstein-gaeta", ("theta",), None, True),
+        ("envelope", ("status",), "fine", False),
+    ])
+    def test_each_mutation_kind(self, tour_instances, name, path, value, ok):
+        instance = next(i for n, i in tour_instances if n == name)
+        assert agree(name, replaced(instance, path, value)) is ok
+
 
 TABLES_4_6 = (
     '{"a":4,"edges":[{"dst":2,"kind":"couple","src":1,"twists":[9,9]},'

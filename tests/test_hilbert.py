@@ -268,3 +268,11 @@ class TestSizeCaps:
         assert self.code(hilbert_from_betti, at_cap) == "non-artinian"
         past_cap = BettiTable(3, ((0,), (16663,), (), ()))
         assert self.code(hilbert_from_betti, past_cap) == "too-large"
+
+    def test_bound_degree_sum(self):
+        # c + j, and c + the last degree of h, may reach 2000
+        assert min_generator_bound(HilbertFunction((1, 3, 1)), 3, 1997) == 0
+        assert self.code(min_generator_bound, HilbertFunction((1, 3, 1)), 3, 1998) == "too-large"
+        ones = HilbertFunction((1,) * 1999)     # last degree 1998
+        assert min_generator_bound(ones, 2, 0) == 0
+        assert self.code(min_generator_bound, ones, 3, 0) == "too-large"

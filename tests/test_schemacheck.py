@@ -1,0 +1,84 @@
+"""The in-package schema validator on hand-made schemas, against
+``jsonschema.validate`` as the oracle, and its load-time guard."""
+
+import jsonschema
+import pytest
+
+from aci3.schemacheck import compile_schema
+
+DRAFT = "https://json-schema.org/draft/2020-12/schema"
+
+CASES = [
+    ({"type": "integer"}, [1, -3, 2**70, 1.0, 1.5, True, "1", None, []]),
+    ({"type": ["integer", "null"]}, [None, 1, 1.0, False, "x"]),
+    ({"type": "boolean"}, [True, False, 0, 1, None]),
+    ({"type": "string"}, ["", "a", 1, None]),
+    ({"type": "array"}, [[], [1], (1,), {}, "ab"]),
+    ({"type": "object"}, [{}, {"a": 1}, [], None]),
+    ({"minimum": 0}, [0, 1, -1, -0.5, -1.0, "x", None, [-1]]),
+    ({"minimum": 2}, [True, False, 1, 2, 1.5]),                       # bools are not numbers
+    ({"minimum": 1, "type": "integer"}, [1, 0, 1.0, 0.0, True]),
+    ({"enum": ["couple", "ah"]}, ["ah", "AH", 1, True, None]),
+    ({"enum": [1, None]}, [1, 1.0, True, False, 0, None, "1"]),     # True is not 1
+    ({"enum": [False]}, [False, 0, 0.0, True, None]),
+    ({"enum": [0, True]}, [0, 0.0, False, True, 1]),
+    ({"pattern": "^[0-9a-f]{4}$"}, ["abcd", "abcg", "abcd\n", "xabcd", 5, None]),
+    ({"pattern": "b"}, ["abc", "ac"]),
+    ({"items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
+     [[1, 2], [1], [1, 2, 3], [1, "x"], [], "ab", (1, 2), {"a": 1}]),
+    ({"items": {"items": {"minimum": 0}}}, [[[0, 1], []], [[0], [-1]], [1, [2]]]),
+    ({"oneOf": [{"type": "null"}, {"type": "array", "items": {"minimum": 1}}]},
+     [None, [], [1, 2], [0], "x", 1]),
+    ({"oneOf": [{}, {"type": "integer"}]}, [1, "x", None]),             # both match
+    ({"oneOf": [{"minimum": 2}, {"type": "integer"}]}, [1, 3, 2.5, "x"]),
+    ({"type": "object", "properties": {"a": {"type": "integer"}}, "required": ["a"],
+      "additionalProperties": False},
+     [{"a": 1}, {"a": "x"}, {}, {"a": 1, "b": 2}, [1], None]),
+    ({"additionalProperties": {"type": "string"}, "properties": {"n": {}}},
+     [{"x": "y"}, {"x": 1}, {"n": 1}, {}, "s"]),
+    ({"required": ["a", "b"]}, [{"a": 1, "b": 2}, {"a": 1}, [], "ab"]),
+    ({"properties": {"p": {"type": "integer"}}}, [{"p": 1}, {"p": None}, {"q": None}]),
+    ({}, [None, 1, "x", [], {}]),
+]
+
+
+def accepts(validate, instance) -> bool:
+    try:
+        validate(instance)
+    except jsonschema.ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("schema, instances", CASES, ids=str)
+def test_agrees_with_jsonschema(schema, instances):
+    schema = dict(schema, **{"$schema": DRAFT})
+    check = compile_schema(schema)
+    for instance in instances:
+        want = accepts(lambda v: jsonschema.validate(v, schema), instance)
+        assert accepts(check, instance) == want, instance
+
+
+def test_error_names_the_failing_path():
+    check = compile_schema({"properties": {"tables": {"items": {"properties": {
+        "levels": {"items": {"items": {"minimum": 0}}}}}}}})
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        check({"tables": [{"levels": [[0]]}, {"levels": [[0], [1, -2]]}]})
+    assert str(exc.value).startswith("$['tables'][1]['levels'][1][1]: -2 ")
+    assert list(exc.value.path) == ["tables", 1, "levels", 1, 1]
+
+
+@pytest.mark.parametrize("schema, what", [
+    ({"format": "date"}, "format"),
+    ({"properties": {"a": {"type": "integer", "maximum": 3}}}, "maximum"),
+    ({"items": {"uniqueItems": True}}, "uniqueItems"),
+    ({"oneOf": [{"const": 1}]}, "const"),
+    ({"additionalProperties": {"patternProperties": {}}}, "patternProperties"),
+    ({"type": "number"}, "number"),
+    ({"type": ["integer", "float"]}, "float"),
+    ({"enum": [[1]]}, "scalars"),
+    ({"$schema": "http://json-schema.org/draft-07/schema#"}, "draft-07"),
+])
+def test_unsupported_schemas_fail_to_load(schema, what):
+    with pytest.raises(ValueError, match=what):
+        compile_schema(schema)
