@@ -236,6 +236,14 @@ def _remove_twists(level: tuple[int, ...], twists) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cancel(tbl: AciTable, twists: tuple[int, ...], parity: str) -> AciTable:
+    """The table with the twists removed from levels 2 and 3, in the given parity."""
+    levels = tbl.table.levels
+    table = BettiTable(3, (levels[0], levels[1], _remove_twists(levels[2], twists),
+                           _remove_twists(levels[3], twists)))
+    return AciTable(tbl.a, tbl.h, parity, table)
+
+
 def cancel_couple(tbl: AciTable, couple: tuple[int, int]) -> AciTable:
     """Remove the couple's two twists from levels 2 and 3.
 
@@ -252,11 +260,7 @@ def cancel_couple(tbl: AciTable, couple: tuple[int, int]) -> AciTable:
         )
     if fam.parity == ODD and tbl.t < 5:
         raise DomainError("t-floor", f"t = {tbl.t} < 5: t would drop below 3")
-    levels = tbl.table.levels
-    new2 = _remove_twists(levels[2], pair)
-    new3 = _remove_twists(levels[3], pair)
-    table = BettiTable(3, (levels[0], levels[1], new2, new3))
-    return AciTable(tbl.a, tbl.h, tbl.parity, table)
+    return _cancel(tbl, pair, tbl.parity)
 
 
 def cancel_ah(tbl: AciTable) -> AciTable:
@@ -271,11 +275,7 @@ def cancel_ah(tbl: AciTable) -> AciTable:
         raise DomainError("no-ah-syzygy", "no a+h syzygy (odd last-syzygy count)")
     if tbl.t < 4:
         raise DomainError("not-cancellable", f"t = {tbl.t} < 4: R(-{ah}) is not cancellable")
-    levels = tbl.table.levels
-    new2 = _remove_twists(levels[2], (ah,))
-    new3 = _remove_twists(levels[3], (ah,))
-    table = BettiTable(3, (levels[0], levels[1], new2, new3))
-    return AciTable(tbl.a, tbl.h, ODD, table)
+    return _cancel(tbl, (ah,), ODD)
 
 
 class PosetEdge(NamedTuple):

@@ -263,52 +263,34 @@ def hilbert_from_betti(b: BettiTable) -> HilbertFunction:
     return HilbertFunction(vals[: m + 1])
 
 
-def _divide_unit_block(coeffs: list[int], a: int) -> Optional[list[int]]:
-    """Exact quotient of the polynomial by 1 + t + ... + t^(a-1), or None."""
-    if len(coeffs) < a:
-        return None
-    q = [0] * (len(coeffs) - a + 1)
-    rem = list(coeffs)
-    for i in range(len(q)):
-        q[i] = rem[i]
-        for k in range(a):
-            rem[i + k] -= q[i]
-    if any(rem):
-        return None
-    return q
-
-
 def recognize_ci(h: HilbertFunction) -> Optional[DegreeTuple]:
     """Degrees of a complete intersection with Hilbert function h, if any.
 
-    The number of factors is fixed at r = H(1) and all recovered degrees are
-    >= 2 (factors of degree 1 would drop the codimension).  Works by trial
-    division of the generating polynomial with backtracking; returns the
-    lexicographically least sorted tuple, or None.
+    The number of factors is fixed at r = H(1), and the answer is unique:
+    (1-t)^r H(t) = prod_i (1 - t^(a_i)), whose lowest term past the constant
+    is -m t^a for the smallest degree a and its multiplicity m.  So the loop
+    reads off a, divides by 1 - t^a and repeats r times.  All degrees found
+    are >= 2, since the t^1 coefficient H(1) - r is 0.  The work is bounded
+    by ``difference``'s cap.
     """
     if h.is_zero:
         return None
     r = h.at(1)
-    coeffs = list(h.values)
-
-    def search(poly: list[int], remaining: int, min_a: int) -> Optional[tuple[int, ...]]:
-        if remaining == 0:
-            return () if poly == [1] else None
-        deg = len(poly) - 1
-        a = min_a
-        while remaining * (a - 1) <= deg:
-            q = _divide_unit_block(poly, a)
-            if q is not None:
-                rest = search(q, remaining - 1, a)
-                if rest is not None:
-                    return (a,) + rest
-            a += 1
-        return None
-
-    found = search(coeffs, r, 2)
-    if found is None:
-        return None
-    return DegreeTuple(found)
+    if r > socle_degree(h):
+        return None  # r factors of degree >= 2 need socle degree >= r
+    poly = list(difference(h, r))
+    found = []
+    while len(found) < r:
+        a = next((n for n in range(1, len(poly)) if poly[n]), None)
+        if a is None or poly[a] > 0:
+            return None
+        for n in range(a, len(poly)):
+            poly[n] += poly[n - a]
+        if any(poly[-a:]):
+            return None
+        del poly[-a:]
+        found.append(a)
+    return DegreeTuple(tuple(found)) if poly == [1] else None
 
 
 def min_generator_bound(h: HilbertFunction, c: int, j: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .errors import DomainError
 from .hilbert import DegreesLike, HilbertFunction, as_degrees
@@ -21,6 +22,10 @@ from .hilbert import DegreesLike, HilbertFunction, as_degrees
 Monomial = tuple[int, ...]
 
 _SHORT_NAMES = ("x", "y", "z", "w")
+
+# standard_monomials: the size of the exponent box below the pure powers,
+# checked before it is walked (code too-large)
+MAX_STANDARD_BOX = 10_000
 
 
 def var_names(c: int) -> tuple[str, ...]:
@@ -162,8 +167,16 @@ def _pure_power_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
 
 
 def standard_monomials(ideal: MonomialIdeal) -> list[list[Monomial]]:
-    """Monomials outside the ideal, bucketed by degree (requires artinian)."""
+    """Monomials outside the ideal, bucketed by degree (requires artinian).
+
+    The exponent box below the pure powers is walked whole, so boxes of more
+    than ``MAX_STANDARD_BOX`` monomials are too-large.
+    """
     bounds = _pure_power_bounds(ideal)
+    box = prod(bounds)
+    if box > MAX_STANDARD_BOX:
+        raise DomainError("too-large", f"exponent box of {box} monomials too large "
+                                       f"(more than {MAX_STANDARD_BOX})")
     top = sum(b - 1 for b in bounds)
     buckets: list[list[Monomial]] = [[] for _ in range(top + 1)]
     for m in product(*(range(b) for b in bounds)):

@@ -40,6 +40,12 @@ class TestHfCommands:
         assert payload(["hf", "recognize", "--hf", "1,3,3,1"]) == [2, 2, 2]
         assert payload(["hf", "recognize", "--hf", "1,3,1"]) is None
 
+    def test_recognize_long_input_is_fast(self):
+        # once cubic in the length of h: about 10 s at this length
+        start = time.perf_counter()
+        assert payload(["hf", "recognize", "--hf", "1," + "3," * 1000 + "1"]) is None
+        assert time.perf_counter() - start < 1.0
+
     def test_bound(self):
         assert payload(["hf", "bound", "--hf", "1,3,1", "--c", "3", "--j", "2"]) == 5
 
@@ -210,6 +216,8 @@ class TestInputErrors:
          "too-large"),
         (["hf", "diff", "--hf", "1,2", "--order", "100000000"], "too-large"),
         (["hf", "bound", "--hf", "1,3,1", "--c", "1000000", "--j", "1000000"], "too-large"),
+        (["betti", "oracle", "--ideal",
+          '{"c":3,"gens":[[400,0,0],[0,400,0],[0,0,400],[1,1,1]]}'], "too-large"),
     ])
     def test_oversized_inputs_fail_at_once(self, argv, code, capsys):
         start = time.perf_counter()
@@ -416,7 +424,7 @@ class TestSchemaCheckAgreesWithJsonschema:
     """The in-package validator accepts and rejects what jsonschema does, on
     real payloads of every route and on mutations of them."""
 
-    @settings(deadline=None, derandomize=True, max_examples=400)
+    @settings(max_examples=400)
     @given(data=st.data())
     def test_mutated_payloads(self, tour_instances, data):
         name, instance = data.draw(st.sampled_from(tour_instances))

@@ -3,6 +3,8 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aci3 import (
     BettiTable,
@@ -187,7 +189,7 @@ class TestRecognizeCi:
                 assert found.degrees == degs
 
     def test_lexicographically_least(self):
-        # (1, 2, 2, 2, 1) = ci(2, 4) = ci(2, 2) * ... check uniqueness handling
+        # (1-t)^r H(t) determines the degrees, so the answer is the only one
         h = ci_hilbert((2, 4))
         found = recognize_ci(h)
         assert found is not None
@@ -197,6 +199,38 @@ class TestRecognizeCi:
         assert recognize_ci(HilbertFunction((1, 2, 2, 1, 1))) is None
         # (1,2,2,2,2,1) on the other hand is ci(2,5)
         assert recognize_ci(HilbertFunction((1, 2, 2, 2, 2, 1))).degrees == (2, 5)
+
+
+degree_tuples = st.lists(st.integers(2, 12), max_size=5).map(lambda d: tuple(sorted(d)))
+
+
+def sound(h):
+    """recognize_ci answers only degrees whose CI has Hilbert function h."""
+    found = recognize_ci(h)
+    return found is None or ci_hilbert(found) == h
+
+
+class TestHilbertSeriesRule:
+    """H_CI(t) = prod_i (1 - t^(a_i)) / (1 - t)^r, on generated degree tuples."""
+
+    @given(degree_tuples.filter(len))
+    def test_koszul_table_gives_ci_hilbert(self, degs):
+        assert hilbert_from_betti(koszul_table(degs)) == ci_hilbert(degs)
+
+    @given(degree_tuples)
+    def test_recognize_inverts_ci_hilbert(self, degs):
+        assert recognize_ci(ci_hilbert(degs)).degrees == degs
+
+    @given(st.lists(st.integers(0, 8), max_size=12))
+    def test_recognize_is_sound_on_arbitrary_h(self, tail):
+        assert sound(HilbertFunction((1, *tail)))
+
+    @given(degree_tuples, st.data())
+    def test_recognize_is_sound_on_changed_ci(self, degs, data):
+        values = list(ci_hilbert(degs).values) + [0]
+        n = data.draw(st.integers(1, len(values) - 1))
+        values[n] = data.draw(st.integers(0, values[n] + 3).filter(lambda v: v != values[n]))
+        assert sound(HilbertFunction(tuple(values)))
 
 
 class TestMinGeneratorBound:
@@ -257,6 +291,11 @@ class TestSizeCaps:
     def test_ci_degree_sum(self):
         assert len(ci_hilbert((666, 667, 667)).values) == 1998
         assert self.code(ci_hilbert, (667, 667, 667)) == "too-large"
+
+    def test_recognize_through_difference_work(self):
+        # r = H(1) on r + 1 values takes r x (2r + 1) difference steps
+        assert recognize_ci(ci_hilbert((2,) * 706)).degrees == (2,) * 706   # 706 x 1413
+        assert self.code(recognize_ci, ci_hilbert((2,) * 707)) == "too-large"
 
     def test_difference_work(self):
         assert len(difference(HilbertFunction((1, 2)), 999)) == 1001   # 999 x 1001 steps

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from aci3 import (
@@ -310,7 +310,6 @@ class TestStrandBlocks:
                 for _, _, mats in strand_blocks(ideal, j):
                     assert_composes_to_zero(mats)
 
-    @settings(deadline=None, derandomize=True)
     @given(artinian_ideals())
     def test_blocked_oracle_matches_whole_strands(self, ideal):
         table = betti_numbers(ideal)

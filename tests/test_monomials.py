@@ -20,7 +20,7 @@ from aci3 import (
     rigid_witness,
     standard_monomials,
 )
-from aci3.monomials import divides, format_monomial, m_lcm
+from aci3.monomials import MAX_STANDARD_BOX, divides, format_monomial, m_lcm
 
 
 def oracle_hilbert(ideal, top):
@@ -88,6 +88,14 @@ class TestHilbertFunction:
         ideal = MonomialIdeal(3, ((2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 1, 2)))
         assert hilbert_function(ideal).values == (1, 3, 5, 6, 5, 3, 1)
         assert hilbert_function(ideal) == ci_hilbert((2, 3, 4))
+
+    def test_box_cap(self):
+        # the exponent box below the pure powers may hold 10^4 monomials
+        assert MAX_STANDARD_BOX == 10_000
+        assert hilbert_function(MonomialIdeal(2, ((100, 0), (0, 100)))).total() == 10_000
+        with pytest.raises(DomainError, match="too large") as exc:
+            standard_monomials(MonomialIdeal(2, ((73, 0), (0, 137))))   # 10^4 + 1
+        assert exc.value.code == "too-large"
 
     def test_non_artinian_rejected(self):
         with pytest.raises(DomainError, match="artinian"):

@@ -4,7 +4,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from aci3 import (
@@ -201,13 +201,11 @@ def _alternating(size, upper):
 class TestPfaffianIntSign:
     # Pf(M)^2 = det(M) cannot see the sign of the pfaffian; these can.
 
-    @settings(deadline=None, derandomize=True)
     @given(st.lists(st.integers(-20, 20), min_size=6, max_size=6))
     def test_closed_form_4x4(self, upper):
         a12, a13, a14, a23, a24, a34 = upper
         assert pfaffian_int(_alternating(4, upper)) == a12 * a34 - a13 * a24 + a14 * a23
 
-    @settings(deadline=None, derandomize=True)
     @given(st.lists(st.integers(-9, 9), min_size=15, max_size=15),
            st.permutations(range(6)))
     def test_permutation_6x6(self, upper, perm):
