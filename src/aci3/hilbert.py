@@ -13,7 +13,7 @@ always the single twist 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Optional, Sequence, Union
 
@@ -22,7 +22,9 @@ from .errors import DomainError
 # Size caps checked before any work (code too-large); the largest accepted
 # call of each function takes well under a second.
 MAX_CI_DEGREE_SUM = 2000            # ci_hilbert: the sum of the degrees
-MAX_BETTI_SUM_TERMS = 100_000       # hilbert_from_betti: (top twist + c + 1) x (levels + twists)
+# hilbert_from_betti: (top twist + c + 1) x (levels + twists) binomial terms;
+# the running sums that evaluate them take fewer steps, c x (top twist + c + 1)
+MAX_BETTI_SUM_TERMS = 100_000
 MAX_DIFFERENCE_WORK = 1_000_000     # difference: order x output length
 MAX_BOUND_DEGREE_SUM = 2000         # min_generator_bound: c + the top degree (j or of h)
 
@@ -229,16 +231,20 @@ def socle_degree(h: HilbertFunction) -> int:
 
 
 def betti_alternating_sum(b: BettiTable, upto: int) -> tuple[int, ...]:
-    """Values sum_i (-1)^i sum_j C(n-j+c-1, c-1) for n = 0..upto (no checks)."""
-    out = []
-    for n in range(upto + 1):
-        val = 0
-        for i, level in enumerate(b.levels):
-            sign = -1 if i % 2 else 1
-            for j in level:
-                val += sign * _monomial_count(n - j, b.c)
-        out.append(val)
-    return tuple(out)
+    """Values sum_i (-1)^i sum_j C(n-j+c-1, c-1) for n = 0..upto (no checks).
+
+    Each twist j puts (-1)^i at degree j, and c running sums then spread it
+    as 1/(1-t)^c = sum_n C(n+c-1, c-1) t^n does: c x (upto + 1) additions.
+    """
+    vals = [0] * (upto + 1)
+    for i, level in enumerate(b.levels):
+        sign = -1 if i % 2 else 1
+        for j in level:
+            if j <= upto:
+                vals[j] += sign
+    for _ in range(b.c):
+        vals = list(accumulate(vals))
+    return tuple(vals)
 
 
 def hilbert_from_betti(b: BettiTable) -> HilbertFunction:

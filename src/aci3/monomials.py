@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import le
 
 from .errors import DomainError
 from .hilbert import DegreesLike, HilbertFunction, as_degrees
@@ -35,7 +36,7 @@ def var_names(c: int) -> tuple[str, ...]:
 
 
 def divides(d: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(d, m))
+    return all(map(le, d, m))
 
 
 def m_gcd(a: Monomial, b: Monomial) -> Monomial:
@@ -167,10 +168,14 @@ def _pure_power_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
 
 
 def standard_monomials(ideal: MonomialIdeal) -> list[list[Monomial]]:
-    """Monomials outside the ideal, bucketed by degree (requires artinian).
+    """Monomials outside the ideal, bucketed by degree (requires artinian),
+    each bucket in ascending lexicographic order.
 
-    The exponent box below the pure powers is walked whole, so boxes of more
-    than ``MAX_STANDARD_BOX`` monomials are too-large.
+    The staircase is read column by column: for each head (all exponents
+    but the last) in the box below the pure powers, the last exponent runs
+    up to the least last exponent of the generators whose head divides it,
+    so no monomial is tested against the generators.  Boxes of more than
+    ``MAX_STANDARD_BOX`` monomials are too-large.
     """
     bounds = _pure_power_bounds(ideal)
     box = prod(bounds)
@@ -179,11 +184,12 @@ def standard_monomials(ideal: MonomialIdeal) -> list[list[Monomial]]:
                                        f"(more than {MAX_STANDARD_BOX})")
     top = sum(b - 1 for b in bounds)
     buckets: list[list[Monomial]] = [[] for _ in range(top + 1)]
-    for m in product(*(range(b) for b in bounds)):
-        if not ideal.contains(m):
-            buckets[sum(m)].append(m)
-    for bucket in buckets:
-        bucket.sort()
+    columns = [(g[:-1], g[-1]) for g in ideal.gens]
+    for head in product(*(range(b) for b in bounds[:-1])):
+        height = min([last for gen_head, last in columns if divides(gen_head, head)])
+        base = sum(head)
+        for e in range(height):
+            buckets[base + e].append(head + (e,))
     while buckets and not buckets[-1]:
         buckets.pop()
     return buckets

@@ -16,13 +16,20 @@ homogeneous of degree exactly d_i.
 One memoised first-row expansion serves polynomial and integer matrices
 alike: ``pfaffian``, ``sub_pfaffians`` and ``pfaffian_int`` all call it, so
 the Pf(M)^2 = det(M) check of ``pf_squared_equals_det`` tests the expansion
-behind the sub-pfaffians and the witness ideals.  ``pfaffian_last_row``
-expands along the last row and is kept as the cross-check.
+behind the sub-pfaffians and the witness ideals.  It reads a two-index
+pfaffian straight off the matrix and looks each smaller index set up in the
+memo before it recurses.  ``pfaffian_last_row`` expands along the last row
+and is kept as the cross-check.
+
+The public ``SparsePolynomial`` constructor cleans its terms; arithmetic
+results, whose terms are clean by construction, skip that pass through
+``_clean``, and a difference is formed in one pass, without a negated copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .classify import DeltaLike, _as_delta
 from .errors import DomainError
@@ -37,7 +44,7 @@ class PolyRing:
     names: tuple[str, ...]
 
     def zero(self) -> "SparsePolynomial":
-        return SparsePolynomial(self, {})
+        return _clean(self, {})
 
     def one(self) -> "SparsePolynomial":
         return self.const(1)
@@ -46,7 +53,7 @@ class PolyRing:
         c = int(c)
         if c == 0:
             return self.zero()
-        return SparsePolynomial(self, {(0,) * len(self.names): c})
+        return _clean(self, {(0,) * len(self.names): c})
 
     def var(self, name: str) -> "SparsePolynomial":
         return self.monomial(name, 1)
@@ -72,6 +79,9 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def degree(self):
         """Total degree, or None for the zero polynomial."""
         if not self.terms:
@@ -88,32 +98,37 @@ class SparsePolynomial:
 
     def _coerce(self, other):
         if isinstance(other, SparsePolynomial):
-            if other.ring.names != self.ring.names:
+            if other.ring is not self.ring and other.ring.names != self.ring.names:
                 raise DomainError("input-error", "polynomials over different rings")
             return other
         if isinstance(other, int):
             return self.ring.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, dropping the terms that cancel."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return SparsePolynomial(self.ring, out)
+            c = out.get(e, 0) + sign * c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _clean(self.ring, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return SparsePolynomial(self.ring, {e: -c for e, c in self.terms.items()})
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return _clean(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __rsub__(self, other):
         return (-self) + other
@@ -123,11 +138,12 @@ class SparsePolynomial:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return SparsePolynomial(self.ring, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return _clean(self.ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -167,6 +183,15 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
+
+
+def _clean(ring: PolyRing, terms: dict) -> SparsePolynomial:
+    """A polynomial on terms that are already clean (tuple exponents, nonzero
+    int coefficients), kept as given: the constructor without the copy."""
+    p = object.__new__(SparsePolynomial)
+    p.ring = ring
+    p.terms = terms
+    return p
 
 
 @dataclass(frozen=True)
@@ -218,16 +243,17 @@ def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> Alternatin
     theta = d.theta
     if theta is None:
         raise DomainError("theta-not-integral", f"theta = {sum(degs)}/{d.n} is not an integer")
-    names = tuple(f"x{i}{j}" for i in range(1, m + 1) for j in range(i + 1, m + 1))
-    ring = PolyRing(names + tuple(extra_vars))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    ring = PolyRing(tuple(f"x{i}{j}" for i, j in pairs) + tuple(extra_vars))
     upper = {}
     entry_degrees = {}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            e = theta - degs[i - 1] - degs[j - 1]
-            entry_degrees[(i, j)] = e
-            if e > 0:
-                upper[(i, j)] = ring.monomial(f"x{i}{j}", e)
+    for k, (i, j) in enumerate(pairs):
+        e = theta - degs[i - 1] - degs[j - 1]
+        entry_degrees[(i, j)] = e
+        if e > 0:
+            expo = [0] * len(ring.names)
+            expo[k] = e
+            upper[(i, j)] = _clean(ring, {tuple(expo): 1})
     return AlternatingMatrix(degs, theta, m, ring, upper, entry_degrees)
 
 
@@ -254,13 +280,12 @@ def _pf(upper: dict, idx: tuple, one, zero, memo: dict):
 
     ``upper`` maps (i, j) with i < j to the nonzero entries; ``one`` and
     ``zero`` are those of the coefficient ring (SparsePolynomial or int), and
-    ``memo`` caches sub-pfaffians by index tuple.
+    ``memo`` caches the sub-pfaffians on smaller index sets by index tuple.
     """
+    if len(idx) == 2:
+        return upper.get(idx, zero)
     if not idx:
         return one
-    cached = memo.get(idx)
-    if cached is not None:
-        return cached
     first = idx[0]
     rest = idx[1:]
     total = zero
@@ -268,12 +293,14 @@ def _pf(upper: dict, idx: tuple, one, zero, memo: dict):
         entry = upper.get((first, other))
         if entry is None:
             continue
-        sub = _pf(upper, tuple(k for k in rest if k != other), one, zero, memo)
-        if sub == zero:
+        key = rest[:pos] + rest[pos + 1:]
+        sub = memo.get(key)
+        if sub is None:
+            sub = memo[key] = _pf(upper, key, one, zero, memo)
+        if not sub:
             continue
         term = entry * sub
         total = total + term if pos % 2 == 0 else total - term
-    memo[idx] = total
     return total
 
 

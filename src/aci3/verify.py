@@ -3,7 +3,7 @@ checkable test, runnable from the CLI (``aci3 verify``) or from pytest.
 
 All checks are exact (tolerance zero); the checks are grouped into scopes so
 desk-scale bounds (generator-degree caps, a caps) can be adjusted from the
-command line.
+command line, up to ``MAX_DEGREE`` and ``MAX_A``.
 
 To declare a check, decorate it with ``@_check("<scope>/<name>")``: the body
 returns the detail line of a pass or raises ``_Failed(detail)``, and the
@@ -40,6 +40,11 @@ _PLAN = {
     "cas": (lambda max_degree, max_a: check_cas_scripts(),),
 }
 SCOPES = tuple(_PLAN)
+
+# Bounds above these are too-large, refused before any check runs: at both
+# caps ``--scope all`` takes about a second.
+MAX_DEGREE = 12
+MAX_A = 14
 
 
 @dataclass(frozen=True)
@@ -345,5 +350,9 @@ def verify_suite(scope: str = "all", max_degree: int = 5, max_a: int = 6) -> Rep
     if scope != "all" and scope not in SCOPES:
         raise DomainError("input-error",
                           f"unknown scope {scope!r}; choose from {('all',) + SCOPES}")
+    if max_degree > MAX_DEGREE:
+        raise DomainError("too-large", f"max_degree {max_degree} exceeds {MAX_DEGREE}")
+    if max_a > MAX_A:
+        raise DomainError("too-large", f"max_a {max_a} exceeds {MAX_A}")
     scopes = SCOPES if scope == "all" else (scope,)
     return Report(scope, tuple(run(max_degree, max_a) for s in scopes for run in _PLAN[s]))

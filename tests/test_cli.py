@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aci3 import cli, export_cas, pfaffians, script_is_balanced
+from aci3 import cli, export_cas, pfaffians, script_is_balanced, verify
 from aci3.cli import build_parser, main, run, schema_name, validate_payload
 from aci3.schemacheck import compile_schema
 
@@ -218,11 +218,22 @@ class TestInputErrors:
         (["hf", "bound", "--hf", "1,3,1", "--c", "1000000", "--j", "1000000"], "too-large"),
         (["betti", "oracle", "--ideal",
           '{"c":3,"gens":[[400,0,0],[0,400,0],[0,0,400],[1,1,1]]}'], "too-large"),
+        (["verify", "--scope", "monomial", "--max-degree", "13"], "too-large"),
+        (["verify", "--scope", "liaison", "--max-a", "200"], "too-large"),
     ])
     def test_oversized_inputs_fail_at_once(self, argv, code, capsys):
         start = time.perf_counter()
         assert json_error(argv, capsys) == code
         assert time.perf_counter() - start < 1.0
+
+    def test_verify_caps_admit_their_boundary(self):
+        # liaison is cheap at the caps; one above either cap is refused first
+        assert (verify.MAX_DEGREE, verify.MAX_A) == (12, 14)
+        report = payload(["verify", "--scope", "liaison", "--max-degree", "12", "--max-a", "14"])
+        assert report["passed"]
+        for bound in (["--max-degree", "13"], ["--max-a", "15"]):
+            result = run(["verify", "--scope", "liaison", *bound])
+            assert (result.status, result.code) == ("error", "too-large")
 
     @pytest.mark.parametrize("out_dir, argv", [
         ("", ["hf", "ci", "--degrees", "3,3,3", "--csv", "file/x.csv"]),

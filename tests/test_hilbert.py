@@ -1,6 +1,7 @@
 """Hilbert-function arithmetic against independent brute-force oracles."""
 
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -167,6 +168,25 @@ class TestHilbertFromBetti:
         table = BettiTable(1, ((0,), (1, 1)))
         with pytest.raises(DomainError, match="not a Hilbert function"):
             hilbert_from_betti(table)
+
+
+@st.composite
+def betti_tables(draw):
+    c = draw(st.integers(1, 4))
+    levels = [(0,)] + [tuple(draw(st.lists(st.integers(0, 12), max_size=6)))
+                       for _ in range(c)]
+    return BettiTable(c, tuple(levels))
+
+
+class TestBettiAlternatingSum:
+    @given(betti_tables(), st.integers(0, 25))
+    def test_against_binomial_formula(self, table, upto):
+        c = table.c
+        want = tuple(
+            sum((-1) ** i * comb(n - j + c - 1, c - 1)
+                for i, level in enumerate(table.levels) for j in level if j <= n)
+            for n in range(upto + 1))
+        assert betti_alternating_sum(table, upto) == want
 
 
 class TestRecognizeCi:

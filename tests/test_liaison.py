@@ -4,6 +4,8 @@ colon-ideal oracle, and mapping-cone bookkeeping."""
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aci3 import (
     BettiTable,
@@ -62,6 +64,24 @@ class TestLinkHilbert:
                 hq = hilbert_function(aci_construction(degs, h))
                 hg = link_hilbert(z, hq)
                 assert link_hilbert(z, hg) == hq
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.data())
+    def test_link_twice_is_identity(self, z, data):
+        # H_Q at most H_Z degree by degree is linked; one degree raised by one
+        # (or one past the socle) may not be.  Wherever the first link is
+        # defined, the second is too, and it gives H_Q back
+        z = tuple(sorted(z))
+        h_z = ci_hilbert(z)
+        values = [1] + [data.draw(st.integers(0, v)) for v in h_z.values[1:]] + [0]
+        bump = data.draw(st.integers(1, len(values)))
+        if bump < len(values):
+            values[bump] += 1
+        h_q = HilbertFunction(tuple(values))
+        try:
+            h_g = link_hilbert(z, h_q)
+        except DomainError:
+            return
+        assert link_hilbert(z, h_g) == h_q
 
     def test_agreement_with_colon_oracle(self):
         for degs in combinations_with_replacement(range(2, 5), 3):

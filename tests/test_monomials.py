@@ -1,10 +1,12 @@
 """Monomial-ideal arithmetic; Hilbert functions are cross-checked against an
 inclusion-exclusion oracle that never enumerates standard monomials."""
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aci3 import (
     DomainError,
@@ -52,6 +54,42 @@ def assert_matches_oracle(ideal):
     top = len(h.values) + 2
     got = tuple(h.at(n) for n in range(top + 1))
     assert got == oracle_hilbert(ideal, top)
+
+
+def box_walk(ideal, bounds):
+    """Standard monomials by testing every point of the box below ``bounds``
+    against every generator, bucketed by degree and sorted."""
+    std = [m for m in product(*(range(b) for b in bounds))
+           if not any(all(g_k <= m_k for g_k, m_k in zip(g, m)) for g in ideal.gens)]
+    buckets = [[] for _ in range(max((sum(m) for m in std), default=-1) + 1)]
+    for m in sorted(std):
+        buckets[sum(m)].append(m)
+    return buckets
+
+
+@st.composite
+def artinian_ideals(draw):
+    """Pure powers of each of c = 2..4 variables plus up to four arbitrary
+    monomials below them (so rarely an ACI); returns the ideal and powers."""
+    c = draw(st.integers(2, 4))
+    powers = draw(st.lists(st.integers(1, 6), min_size=c, max_size=c))
+    gens = [tuple(p if k == i else 0 for k in range(c)) for i, p in enumerate(powers)]
+    gens += draw(st.lists(st.tuples(*(st.integers(0, p - 1) for p in powers)), max_size=4))
+    return minimalize(gens, c), powers
+
+
+class TestStandardMonomials:
+    @given(artinian_ideals())
+    def test_against_box_walk(self, case):
+        ideal, powers = case
+        assert standard_monomials(ideal) == box_walk(ideal, powers)
+
+    def test_unit_ideal_has_none(self):
+        assert standard_monomials(MonomialIdeal(3, ((0, 0, 0),))) == []
+        assert standard_monomials(MonomialIdeal(1, ((0,),))) == []
+
+    def test_one_variable(self):
+        assert standard_monomials(MonomialIdeal(1, ((3,),))) == [[(0,)], [(1,)], [(2,)]]
 
 
 class TestMinimalize:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aci3 import (
     DomainError,
     PolyRing,
+    SparsePolynomial,
     alt_matrix,
     gaeta_check,
     pf_squared_equals_det,
@@ -62,6 +63,60 @@ class TestSparsePolynomial:
         other = PolyRing(("z",))
         with pytest.raises(DomainError):
             _ = self.x + other.var("z")
+
+
+exponents = st.tuples(*[st.integers(0, 2)] * 3)
+term_dicts = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+class TestArithmeticAgainstDicts:
+    # small exponents and coefficients, so sums and products often cancel
+    ring = PolyRing(("x", "y", "z"))
+
+    def clean(self, poly):
+        assert all(type(e) is tuple and len(e) == 3 for e in poly.terms)
+        assert all(type(c) is int and c != 0 for c in poly.terms.values())
+        return poly.terms
+
+    @given(term_dicts, term_dicts)
+    def test_add_sub_mul_neg(self, p, q):
+        fp, fq = SparsePolynomial(self.ring, p), SparsePolynomial(self.ring, q)
+        p, q = ref_add({}, p), ref_add({}, q)
+        assert self.clean(fp) == p
+        assert self.clean(fp + fq) == ref_add(p, q)
+        assert self.clean(fp - fq) == ref_add(p, q, -1)
+        assert self.clean(fp * fq) == ref_mul(p, q)
+        assert self.clean(-fp) == ref_add({}, p, -1)
+        assert self.clean(fp - fp) == {}
+        assert self.clean(fp + (-fp)) == {}
+        assert self.clean(fp + fq - fq) == p
+        assert bool(fp) == bool(p)
+
+    @given(term_dicts, st.integers(-3, 3))
+    def test_mixed_with_int(self, p, k):
+        fp = SparsePolynomial(self.ring, p)
+        p = ref_add({}, p)
+        const = {(0, 0, 0): k} if k else {}
+        assert self.clean(fp + k) == self.clean(k + fp) == ref_add(p, const)
+        assert self.clean(fp - k) == ref_add(p, const, -1)
+        assert self.clean(k - fp) == ref_add(const, p, -1)
+        assert self.clean(fp * k) == self.clean(k * fp) == ref_mul(p, const)
 
 
 class TestAltMatrix:
@@ -215,6 +270,25 @@ class TestPfaffianIntSign:
         moved = [[sum(p[k][i] * mat[k][l] * p[l][j] for k in range(6) for l in range(6))
                   for j in range(6)] for i in range(6)]
         assert pfaffian_int(moved) == int_det(p) * pfaffian_int(mat)
+
+
+@st.composite
+def gorenstein_deltas(draw):
+    """Sorted sequences of length 3, 5 or 7 with entries 1..8 and integral theta."""
+    length = draw(st.sampled_from((3, 5, 7)))
+    degs = sorted(draw(st.lists(st.integers(1, 8), min_size=length, max_size=length)))
+    n = (length - 1) // 2
+    degs[-1] += -sum(degs) % n     # raise the top entry to the next multiple
+    return tuple(degs)
+
+
+class TestSubPfaffiansAgainstLastRow:
+    @given(gorenstein_deltas(), st.sampled_from(((), ("y1",), ("y1", "y2"))))
+    def test_first_row_memo_equals_last_row(self, delta, extra):
+        m = alt_matrix(delta, extra_vars=extra)
+        full = range(1, m.size + 1)
+        assert sub_pfaffians(m) == [
+            pfaffian_last_row(m, [k for k in full if k != i]) for i in full]
 
 
 class TestWitnessIdeals:
