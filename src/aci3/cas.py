@@ -106,7 +106,8 @@ def export_cas(kind: str, payload: dict) -> str:
         if ideal.is_zero or ideal.is_unit:
             raise DomainError("input-error", "export needs a proper nonzero ideal")
         return _monomial_script(ideal, expected)
-    raise DomainError("input-error", f"unsupported export kind {kind!r}")
+    raise DomainError("input-error",
+                      f"unsupported export kind {kind!r}; choose from {EXPORT_KINDS}")
 
 
 def script_is_balanced(text: str) -> bool:

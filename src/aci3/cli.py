@@ -6,22 +6,24 @@ a machine-readable code, exit status 1.  ``schemacheck`` validates payloads
 against the schema files shipped under ``aci3/schemas``.  The environment
 variable ``ACI3_OUTPUT_DIR`` sets the directory for written files (CAS
 scripts, CSV).
+
+Each process runs one route, so the top level imports only what every
+route needs; a handler imports the kernel modules it calls and calls them
+through the module, where a tracer or a test stub can replace them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from . import cas, classify, koszul, liaison, monomials, pfaffians, schemacheck, verify
+from . import schemacheck
 from .errors import DomainError
 from .hilbert import (
     BettiTable,
@@ -32,6 +34,9 @@ from .hilbert import (
     min_generator_bound,
     recognize_ci,
 )
+
+if TYPE_CHECKING:
+    from . import monomials, pfaffians
 
 
 @dataclass
@@ -94,6 +99,8 @@ def _write_output(name: str, text: str) -> str:
 
 
 def _hilbert_csv(h: HilbertFunction) -> str:
+    import csv
+    import io
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["degree", "value"])
@@ -111,6 +118,7 @@ def _poly_json(p: pfaffians.SparsePolynomial) -> dict:
 
 
 def _ideal_from_args(args) -> monomials.MonomialIdeal:
+    from . import monomials
     if getattr(args, "ideal_file", None):
         try:
             with open(args.ideal_file) as fh:
@@ -159,6 +167,7 @@ def _cmd_hf_bound(args):
 
 
 def _cmd_aci_monomial(args):
+    from . import monomials
     degs = _ints(args.degrees)
     ideal = monomials.aci_construction(degs, args.h)
     h = monomials.hilbert_function(ideal)
@@ -177,6 +186,7 @@ def _cmd_aci_monomial(args):
 
 
 def _cmd_betti_oracle(args):
+    from . import koszul
     ideal = _ideal_from_args(args)
     table = koszul.betti_numbers(ideal)
     payload = {"table": table.to_json()}
@@ -189,6 +199,7 @@ def _cmd_betti_oracle(args):
 
 
 def _cmd_liaison_link(args):
+    from . import liaison
     z = _ints(args.z)
     datum = liaison.LinkDatum.of(z)
     hg = liaison.link_hilbert(z, _hf(args.hq), strict=not args.lax)
@@ -197,25 +208,30 @@ def _cmd_liaison_link(args):
 
 
 def _cmd_liaison_cone(args):
+    from . import liaison
     table = BettiTable.from_json(_json_flag(args.table, "--table"))
     cone = liaison.mapping_cone_twists(table, _ints(args.z))
     return cone.to_json(), ("mapping-cone-twists",)
 
 
 def _cmd_classify_tables(args):
+    from . import classify
     poset = classify.enumerate_tables(args.a, args.h)
     return poset.to_json(), ("maximal-tables", "allowed-cancellations")
 
 
 def _cmd_classify_tmax(args):
+    from . import classify
     return classify.t_max(args.a), ("t-max-at-h-2a",)
 
 
 def _cmd_classify_dstar(args):
+    from . import classify
     return classify.d_star(args.a, args.h, args.t), ("d-star-parity",)
 
 
 def _cmd_gorenstein_gaeta(args):
+    from . import classify
     delta = classify.GorensteinDelta(_ints(args.delta))
     result = classify.gaeta_check(delta)
     return ({"ok": result.ok, "reason": result.reason, "theta": delta.theta},
@@ -223,14 +239,17 @@ def _cmd_gorenstein_gaeta(args):
 
 
 def _cmd_gorenstein_delta_low(args):
+    from . import classify
     return list(classify.delta_low(args.a, args.h)), ("gorenstein-link-degrees",)
 
 
 def _cmd_gorenstein_delta_high(args):
+    from . import classify
     return list(classify.delta_high(args.a, args.h)), ("gorenstein-link-degrees",)
 
 
 def _cmd_pfaffian_alt(args):
+    from . import pfaffians
     m = pfaffians.alt_matrix(_ints(args.delta))
     entries = [
         {"i": i, "j": j, "degree": m.entry_degrees[(i, j)],
@@ -249,6 +268,7 @@ def _cmd_pfaffian_alt(args):
 
 
 def _cmd_pfaffian_sub(args):
+    from . import pfaffians
     m = pfaffians.alt_matrix(_ints(args.delta))
     if not 1 <= args.i <= m.size:
         raise DomainError("input-error", f"--i must be in 1..{m.size}")
@@ -257,6 +277,7 @@ def _cmd_pfaffian_sub(args):
 
 
 def _cmd_pfaffian_example(args):
+    from . import pfaffians
     w = pfaffians.witness_ideals_a3_h5()
     payload = {
         "variables": list(w.matrix.ring.names),
@@ -272,6 +293,9 @@ def _cmd_pfaffian_example(args):
 
 
 def _cmd_export_cas(args):
+    import hashlib
+
+    from . import cas
     payload_in: dict = {}
     if args.kind == "monomial":
         payload_in["ideal"] = _ideal_from_args(args).to_json()
@@ -286,6 +310,7 @@ def _cmd_export_cas(args):
 
 
 def _cmd_verify(args):
+    from . import verify
     report = verify.verify_suite(args.scope, max_degree=args.max_degree, max_a=args.max_a)
     for check in report.checks:
         word = "ok  " if check.ok else "FAIL"
@@ -410,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = groups.add_parser("export", help="external-CAS script export")
     exp_sub = exp.add_subparsers(dest="action", required=True)
     p = exp_sub.add_parser("cas", parents=[common])
-    p.add_argument("--kind", required=True, choices=cas.EXPORT_KINDS)
+    p.add_argument("--kind", required=True,
+                   help="script kind; an unknown one is refused with the list")
     p.add_argument("--ideal", help="monomial ideal JSON (kind=monomial)")
     p.add_argument("--ideal-file")
     p.add_argument("--expected", help="expected Betti table JSON comment")
@@ -418,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_export_cas)
 
     ver = groups.add_parser("verify", parents=[common], help="run the verification suite")
-    ver.add_argument("--scope", default="all", choices=("all",) + verify.SCOPES)
+    ver.add_argument("--scope", default="all",
+                     help="all (the default) or one scope; an unknown one is refused "
+                          "with the list")
     ver.add_argument("--max-degree", type=int, default=5)
     ver.add_argument("--max-a", type=int, default=6)
     ver.set_defaults(handler=_cmd_verify, schema="verify")

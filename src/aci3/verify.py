@@ -41,8 +41,9 @@ _PLAN = {
 }
 SCOPES = tuple(_PLAN)
 
-# Bounds above these are too-large, refused before any check runs: at both
-# caps ``--scope all`` takes about a second.
+# Bounds above these are too-large, and bounds below 2 an input-error, both
+# refused before any check runs: at both caps ``--scope all`` takes about a
+# second.
 MAX_DEGREE = 12
 MAX_A = 14
 
@@ -354,5 +355,9 @@ def verify_suite(scope: str = "all", max_degree: int = 5, max_a: int = 6) -> Rep
         raise DomainError("too-large", f"max_degree {max_degree} exceeds {MAX_DEGREE}")
     if max_a > MAX_A:
         raise DomainError("too-large", f"max_a {max_a} exceeds {MAX_A}")
+    # every check starts at degree 2 or a = 2: below that it would pass on no case
+    for bound, value in (("max_degree", max_degree), ("max_a", max_a)):
+        if value < 2:
+            raise DomainError("input-error", f"{bound} {value} is below 2, the first case")
     scopes = SCOPES if scope == "all" else (scope,)
     return Report(scope, tuple(run(max_degree, max_a) for s in scopes for run in _PLAN[s]))

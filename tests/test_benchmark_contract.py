@@ -42,6 +42,20 @@ def test_tracer_installs_and_removes():
     assert {"koszul.betti_numbers", "intmat.int_rank"} <= names
 
 
+def test_package_names_follow_the_tracer():
+    # aci3.<name> is looked up in its module on each use, never cached
+    import aci3
+
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert aci3.betti_numbers is koszul.betti_numbers
+        assert aci3.betti_numbers.__name__ == "wrapper"
+    finally:
+        tracer.remove()
+    assert aci3.betti_numbers is koszul.betti_numbers
+
+
 def test_tracer_spans_the_checks_verify_runs():
     # verify.* per-scope times come from the spans of the check_* functions
     tracer = _load_tracing().Tracer()

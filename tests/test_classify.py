@@ -266,6 +266,9 @@ class TestTMaxAndDStar:
     def test_d_star_rejects(self):
         with pytest.raises(DomainError) as exc:
             d_star(1, 2, 3)
+        assert exc.value.code == "input-error"
+        with pytest.raises(DomainError) as exc:
+            d_star(3, 3, 3)
         assert exc.value.code == "h-out-of-range"
         with pytest.raises(DomainError) as exc:
             d_star(3, 6, 4)

@@ -5,9 +5,13 @@ import argparse
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -226,6 +230,16 @@ class TestInputErrors:
         assert json_error(argv, capsys) == code
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv, named", [
+        (["verify", "--scope", "everything"], verify.SCOPES),
+        (["export", "cas", "--kind", "groebner"], ("pfaffian-q", "pfaffian-w", "monomial")),
+    ])
+    def test_unknown_scope_or_kind_lists_the_choices(self, argv, named, capsys):
+        # checked once, by verify_suite or export_cas, not by the parser
+        assert main(argv) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert all(repr(value) in message for value in named)
+
     def test_verify_caps_admit_their_boundary(self):
         # liaison is cheap at the caps; one above either cap is refused first
         assert (verify.MAX_DEGREE, verify.MAX_A) == (12, 14)
@@ -353,6 +367,97 @@ class TestRoutes:
         compile_schema(schema)
         with pytest.raises(ValueError, match="format"):
             compile_schema(dict(schema, format="date"))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in a fresh interpreter: the aci3 modules loaded by ``import
+# aci3.cli``, then the exit codes of ``main`` on each argv and the modules
+# loaded after them.
+PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "aci3")
+from aci3.cli import main
+first = loaded()
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([first, codes, loaded()]))
+"""
+
+SHARED = ["aci3", "aci3.cli", "aci3.errors", "aci3.hilbert", "aci3.schemacheck"]
+
+
+def probe(argvs, tmp_path):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, ACI3_OUTPUT_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
+    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    first, codes, after = json.loads(out.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    return first, after
+
+
+class TestImportGraph:
+    """Each route loads only the modules it runs (a cold process compiles
+    every module it loads)."""
+
+    def test_cli_and_hf_routes_load_no_kernel_module(self, tmp_path):
+        first, after = probe([argv for argv in TOUR if argv[0] == "hf"], tmp_path)
+        assert first == after == SHARED
+
+    def test_classify_tables_loads_classify_alone(self, tmp_path):
+        _, after = probe([["classify", "tables", "--a", "3", "--h", "5"]], tmp_path)
+        assert after == sorted(SHARED + ["aci3.classify"])
+
+    def test_only_verify_loads_verify(self, tmp_path):
+        _, after = probe([argv for argv in TOUR if argv[0] != "verify"], tmp_path)
+        assert "aci3.verify" not in after
+
+
+# Routes whose flags are all integers or integer lists, with small bounded
+# values; --flag=value keeps a negative value from reading as an option.
+SMALL = st.integers(-3, 12)
+INTS = st.lists(st.integers(-2, 8), max_size=4).map(lambda v: ",".join(map(str, v)))
+INTEGER_ROUTES = {
+    "classify tables": (("--a", st.integers(-3, 9)), ("--h", st.integers(-3, 28))),
+    "classify tmax": (("--a", SMALL),),
+    "classify dstar": (("--a", SMALL), ("--h", st.integers(-3, 34)), ("--t", SMALL)),
+    "gorenstein delta-low": (("--a", SMALL), ("--h", st.integers(-3, 34))),
+    "gorenstein delta-high": (("--a", SMALL), ("--h", st.integers(-3, 34))),
+    "hf ci": (("--degrees", INTS),),
+    "hf diff": (("--hf", INTS), ("--order", SMALL)),
+    "hf bound": (("--hf", INTS), ("--c", SMALL), ("--j", SMALL)),
+}
+# the codes the README gives for a bad numeric value
+NUMERIC_ERRORS = {"input-error", "h-out-of-range", "invalid-family", "not-hilbert-function",
+                  "too-large"}
+
+
+@lru_cache(maxsize=None)
+def reference_validator(route):
+    """jsonschema's validator for the payload schema of ``route``."""
+    group, action = route.split()
+    parser = next(p for g, a, p in routes() if (g, a) == (group, action))
+    ns = argparse.Namespace(group=group, action=action, schema=parser.get_default("schema"))
+    schema = schema_files()[schema_name(ns)]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+class TestIntegerFlagFuzz:
+    @pytest.mark.parametrize("route", sorted(INTEGER_ROUTES))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_payload_or_documented_error(self, route, data):
+        argv = route.split() + [f"{flag}={data.draw(values, label=flag)}"
+                                for flag, values in INTEGER_ROUTES[route]]
+        start = time.perf_counter()
+        result = run(argv)
+        assert time.perf_counter() - start < 2.0, argv
+        if result.status == "ok":
+            reference_validator(route).validate(result.payload)
+        else:
+            assert result.code in NUMERIC_ERRORS, (argv, result.code, result.message)
 
 
 @pytest.fixture(scope="module")
@@ -525,7 +630,8 @@ class TestPinnedPayloads:
         assert payload(["classify", "dstar", "--a", str(a), "--h", str(h), "--t", str(t)]) == want
 
     @pytest.mark.parametrize("a, h, t, code", [
-        (1, 2, 3, "h-out-of-range"),
+        (1, 2, 3, "input-error"),
+        (-5, 0, -1, "input-error"),   # for a < 2 the h window is empty: a is checked first
         (3, 3, 3, "h-out-of-range"),
         (3, 8, 3, "h-out-of-range"),
         (3, 6, 2, "invalid-family"),

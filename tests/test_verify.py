@@ -2,10 +2,11 @@
 under its usual name, when one of its dependencies gives a wrong answer."""
 
 import json
+import re
 
 import pytest
 
-from aci3 import cas, classify, koszul, liaison, monomials, pfaffians, verify
+from aci3 import DomainError, cas, classify, koszul, liaison, monomials, pfaffians, verify
 from aci3.cli import main
 from aci3.hilbert import HilbertFunction
 
@@ -50,6 +51,37 @@ def test_check_reports_failure(monkeypatch, check, name, module, attr, wrong):
 def test_every_check_has_a_failure_case():
     plan = verify.verify_suite("all", max_degree=2, max_a=2)
     assert sorted(c.name for c in plan.checks) == sorted(case[1] for case in BROKEN)
+
+
+@pytest.mark.parametrize("scope", verify.SCOPES)
+def test_bounds_start_at_the_first_case(scope, monkeypatch):
+    # below 2 no check has a case, so a pass would say nothing: refused
+    # before any check runs
+    with monkeypatch.context() as stubs:
+        for name in [n for n in vars(verify) if n.startswith("check_")]:
+            stubs.setattr(verify, name, lambda *args: pytest.fail("a check ran"))
+        for max_degree, max_a in ((1, 2), (2, 1), (2, -3)):
+            with pytest.raises(DomainError) as exc:
+                verify.verify_suite(scope, max_degree=max_degree, max_a=max_a)
+            assert exc.value.code == "input-error"
+    report = verify.verify_suite(scope, max_degree=2, max_a=2)
+    assert report.passed
+    for check in report.checks:
+        count = re.match(r"(\d+) ", check.detail)
+        span = re.search(r"a = (\d+)\.\.(\d+)", check.detail)
+        assert count is None or int(count[1]) > 0, check
+        assert span is None or int(span[1]) <= int(span[2]), check
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scope", "classification", "--max-a", "-3"],
+    ["verify", "--scope", "monomial", "--max-degree", "1"],
+])
+def test_cli_refuses_a_bound_with_no_case(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == "input-error"
 
 
 def test_scopes_in_run_order():
