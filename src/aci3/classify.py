@@ -39,9 +39,9 @@ ODD = "odd"
 MAX_POSET_NODES = 4095
 
 
-def _check_a(a: int) -> None:
-    if a < 2:
-        raise DomainError("input-error", f"need a >= 2, got {a}")
+def _check_at_least_2(value: int, name: str) -> None:
+    if value < 2:
+        raise DomainError("input-error", f"need {name} >= 2, got {value}")
 
 
 def check_h_window(a: int, h: int, code: str = "h-out-of-range") -> None:
@@ -59,11 +59,12 @@ def d_star(a: int, h: int, t: int) -> int:
     """Distinguished generator degree of a table with t last syzygies and
     generator degrees (a, a, a, h): a when t is even, h when t is odd.
 
-    Raises input-error for a < 2, h-out-of-range outside the window of
-    ``check_h_window`` and invalid-family for even t with h >= 2a.
+    Raises input-error for a < 2, then h-out-of-range outside the window of
+    ``check_h_window``, input-error for t < 2 and invalid-family for even t with h >= 2a.
     """
-    _check_a(a)
+    _check_at_least_2(a, "a")
     check_h_window(a, h)
+    _check_at_least_2(t, "t")    # every table has t >= 2
     _check_parity(a, h, t % 2 == 0)
     return a if t % 2 == 0 else h
 
@@ -326,7 +327,7 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
     with more than ``MAX_POSET_NODES`` nodes raise too-large before any
     table is built.
     """
-    _check_a(a)
+    _check_at_least_2(a, "a")
     check_h_window(a, h)
     # d independent cancellations give 2^d subsets; the t-floor drops the empty
     # one.  Comparing d first keeps a huge h from building a huge 2^d.
@@ -365,7 +366,7 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
 def t_max(a: int) -> int:
     """Largest last-syzygy count in the h = 2a family: a + 1 for even a,
     a for odd a."""
-    _check_a(a)
+    _check_at_least_2(a, "a")
     return a + 1 if a % 2 == 0 else a
 
 
@@ -373,7 +374,7 @@ def _link_delta(a: int, h: int, lo: int, hi: int) -> GorensteinDelta:
     """(a, a, h-a) and the degrees strictly between max(a, h-a) and
     min(h, 2a), with (a+h)/2 doubled when h - a is even; lo <= h <= hi is
     checked before any list is built."""
-    _check_a(a)
+    _check_at_least_2(a, "a")
     if not lo <= h <= hi:
         raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
     degs = [a, a, h - a] + list(range(max(a, h - a) + 1, min(h, 2 * a)))

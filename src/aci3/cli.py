@@ -7,6 +7,12 @@ against the schema files shipped under ``aci3/schemas``.  The environment
 variable ``ACI3_OUTPUT_DIR`` sets the directory for written files (CAS
 scripts, CSV).
 
+Each route is declared once, next to its handler: ``@_route("<group>
+<action>", *flags)``, each flag made by ``_flag`` from ``add_argument``'s
+arguments (``type=IntList`` for comma-separated integers).  Its payload must
+match ``schemas/<group>-<action>.schema.json`` unless ``schema=`` names
+another; a new group also needs its help line in ``_GROUPS``.
+
 Each process runs one route, so the top level imports only what every
 route needs; a handler imports the kernel modules it calls and calls them
 through the module, where a tracer or a test stub can replace them.
@@ -36,7 +42,7 @@ from .hilbert import (
 )
 
 if TYPE_CHECKING:
-    from . import monomials, pfaffians
+    from . import monomials
 
 
 @dataclass
@@ -67,22 +73,11 @@ def validate_payload(name: str, payload) -> None:
     _schema(name)(payload)
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise DomainError("input-error", f"expected comma-separated integers, got {text!r}") from exc
-
-
 def _json_flag(text: str, what: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError("input-error", f"malformed JSON for {what}: {exc}") from exc
-
-
-def _hf(text: str) -> HilbertFunction:
-    return HilbertFunction(_ints(text))
 
 
 def _write_output(name: str, text: str) -> str:
@@ -99,22 +94,8 @@ def _write_output(name: str, text: str) -> str:
 
 
 def _hilbert_csv(h: HilbertFunction) -> str:
-    import csv
-    import io
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["degree", "value"])
-    writer.writerows(enumerate(h.values))
-    return out.getvalue()
-
-
-def _poly_json(p: pfaffians.SparsePolynomial) -> dict:
-    return {
-        "variables": list(p.ring.names),
-        "terms": p.to_json(),
-        "degree": p.degree(),
-        "pretty": str(p),
-    }
+    """``degree,value`` rows with CRLF line ends, as the csv module writes them."""
+    return "".join(f"{d},{v}\r\n" for d, v in [("degree", "value"), *enumerate(h.values)])
 
 
 def _ideal_from_args(args) -> monomials.MonomialIdeal:
@@ -134,19 +115,90 @@ def _ideal_from_args(args) -> monomials.MonomialIdeal:
     return monomials.MonomialIdeal.from_json(data)
 
 
+# ---------- routes: each declared once, by @_route on its handler ----------
+
+# Group -> its help line, in the order ``aci3 --help`` lists the groups.
+_GROUPS = {
+    "hf": "Hilbert-function arithmetic",
+    "aci": "monomial almost complete intersections",
+    "betti": "Koszul-homology Betti oracle",
+    "liaison": "linkage arithmetic",
+    "classify": "Betti-table classification for H_CI(a,a,a)",
+    "gorenstein": "Gorenstein degree sequences",
+    "pfaffian": "alternating matrices and pfaffians",
+    "export": "external-CAS script export",
+    "verify": "run the verification suite",
+}
+
+
+@dataclass(frozen=True)
+class Route:
+    """``aci3 <group> <action>``, or ``aci3 <group>`` when ``action`` is None."""
+
+    group: str
+    action: str | None
+    flags: tuple[tuple[str, dict], ...]   # add_argument(name, **kwargs), in order
+    handler: str                          # looked up in this module when the route runs
+    help: str | None                      # its line in the group's --help, if any
+    schema: str
+
+
+ROUTES: list[Route] = []   # in declaration order, which is each group's --help order
+
+
+def _route(name: str, *flags, help=None, schema=None):
+    """Declare the handler below as route ``name`` (see the module docstring)."""
+    group, _, action = name.partition(" ")
+    def declare(handler):
+        ROUTES.append(Route(group, action or None, flags, handler.__name__, help,
+                            schema or name.replace(" ", "-")))
+        return handler
+    return declare
+
+
+def _flag(name: str, **kwargs) -> tuple[str, dict]:
+    return name, kwargs
+
+
+_A, _H = _flag("--a", type=int, required=True), _flag("--h", type=int, required=True)
+
+
+class IntList(str):
+    """Flag type of comma-separated integers: the text, read by the handler
+    with ``ints()`` so that a bad list is an input-error in the handler's order."""
+
+    def ints(self) -> tuple[int, ...]:
+        try:
+            return tuple(int(part) for part in self.split(",") if part.strip() != "")
+        except ValueError as exc:
+            raise DomainError("input-error",
+                              f"expected comma-separated integers, got {self!r}") from exc
+
+
 # ---------- handlers: each returns (payload, provenance) ----------
 
+@_route("hf ci",
+        _flag("--degrees", type=IntList, required=True,
+              help="comma-separated CI degrees, e.g. 3,3,3"),
+        _flag("--csv", help="also write degree,value rows to this CSV file"))
 def _cmd_hf_ci(args):
-    h = ci_hilbert(_ints(args.degrees))
+    h = ci_hilbert(args.degrees.ints())
     if args.csv:
         _write_output(args.csv, _hilbert_csv(h))
     return h.to_json(), ("ci-hilbert-koszul-product",)
 
 
+@_route("hf diff",
+        _flag("--hf", type=IntList, required=True, help="comma-separated values, e.g. 1,3,3,1"),
+        _flag("--order", type=int, default=1))
 def _cmd_hf_diff(args):
-    return list(difference(_hf(args.hf), args.order)), ("hilbert-difference",)
+    return list(difference(HilbertFunction(args.hf.ints()), args.order)), ("hilbert-difference",)
 
 
+@_route("hf from-betti",
+        _flag("--table", required=True,
+              help='Betti table JSON, e.g. {"c":3,"levels":[[0],[2,2,2],[4,4,4],[6]]}'),
+        _flag("--csv"))
 def _cmd_hf_from_betti(args):
     table = BettiTable.from_json(_json_flag(args.table, "--table"))
     h = hilbert_from_betti(table)
@@ -155,20 +207,29 @@ def _cmd_hf_from_betti(args):
     return h.to_json(), ("betti-determines-hilbert",)
 
 
+@_route("hf recognize", _flag("--hf", type=IntList, required=True))
 def _cmd_hf_recognize(args):
-    found = recognize_ci(_hf(args.hf))
+    found = recognize_ci(HilbertFunction(args.hf.ints()))
     payload = None if found is None else list(found.degrees)
     return payload, ("ci-recognition",)
 
 
+@_route("hf bound",
+        _flag("--hf", type=IntList, required=True),
+        _flag("--c", type=int, required=True), _flag("--j", type=int, required=True),
+        help="lower bound for minimal generators in one degree")
 def _cmd_hf_bound(args):
-    bound = min_generator_bound(_hf(args.hf), args.c, args.j)
+    bound = min_generator_bound(HilbertFunction(args.hf.ints()), args.c, args.j)
     return bound, ("generator-lower-bound",)
 
 
+@_route("aci monomial",
+        _flag("--degrees", type=IntList, required=True), _H,
+        _flag("--verify", action="store_true",
+              help="also check the Hilbert function against the CI one"))
 def _cmd_aci_monomial(args):
     from . import monomials
-    degs = _ints(args.degrees)
+    degs = args.degrees.ints()
     ideal = monomials.aci_construction(degs, args.h)
     h = monomials.hilbert_function(ideal)
     payload = {
@@ -185,6 +246,10 @@ def _cmd_aci_monomial(args):
     return payload, tuple(tags)
 
 
+@_route("betti oracle",
+        _flag("--ideal", help="monomial ideal JSON"),
+        _flag("--ideal-file", help="path to monomial ideal JSON"),
+        _flag("--expected", help="Betti table JSON to compare against"))
 def _cmd_betti_oracle(args):
     from . import koszul
     ideal = _ideal_from_args(args)
@@ -198,59 +263,75 @@ def _cmd_betti_oracle(args):
     return payload, ("koszul-homology-oracle",)
 
 
+@_route("liaison link",
+        _flag("--z", type=IntList, required=True, help="CI type, e.g. 2,2,3"),
+        _flag("--hq", type=IntList, required=True, help="Hilbert function of Q, e.g. 1,3,3,1"),
+        _flag("--lax", action="store_true", help="allow the zero result (self-link)"))
 def _cmd_liaison_link(args):
     from . import liaison
-    z = _ints(args.z)
+    z = args.z.ints()
     datum = liaison.LinkDatum.of(z)
-    hg = liaison.link_hilbert(z, _hf(args.hq), strict=not args.lax)
+    hg = liaison.link_hilbert(z, HilbertFunction(args.hq.ints()), strict=not args.lax)
     return ({"hg": hg.to_json(), "theta": datum.theta, "e": datum.e},
             ("liaison-hilbert-duality",))
 
 
+@_route("liaison cone",
+        _flag("--table", required=True, help="Betti table JSON of Q"),
+        _flag("--z", type=IntList, required=True))
 def _cmd_liaison_cone(args):
     from . import liaison
     table = BettiTable.from_json(_json_flag(args.table, "--table"))
-    cone = liaison.mapping_cone_twists(table, _ints(args.z))
+    cone = liaison.mapping_cone_twists(table, args.z.ints())
     return cone.to_json(), ("mapping-cone-twists",)
 
 
+@_route("classify tables", _A, _H)
 def _cmd_classify_tables(args):
     from . import classify
     poset = classify.enumerate_tables(args.a, args.h)
     return poset.to_json(), ("maximal-tables", "allowed-cancellations")
 
 
+@_route("classify tmax", _A)
 def _cmd_classify_tmax(args):
     from . import classify
     return classify.t_max(args.a), ("t-max-at-h-2a",)
 
 
+@_route("classify dstar", _A, _H,
+        _flag("--t", type=int, required=True, help="number of last syzygies"))
 def _cmd_classify_dstar(args):
     from . import classify
     return classify.d_star(args.a, args.h, args.t), ("d-star-parity",)
 
 
+@_route("gorenstein gaeta",
+        _flag("--delta", type=IntList, required=True, help="sorted degrees, e.g. 2,3,3,4,4"))
 def _cmd_gorenstein_gaeta(args):
     from . import classify
-    delta = classify.GorensteinDelta(_ints(args.delta))
+    delta = classify.GorensteinDelta(args.delta.ints())
     result = classify.gaeta_check(delta)
     return ({"ok": result.ok, "reason": result.reason, "theta": delta.theta},
             ("gaeta-conditions",))
 
 
+@_route("gorenstein delta-low", _A, _H, schema="gorenstein-delta")
 def _cmd_gorenstein_delta_low(args):
     from . import classify
     return list(classify.delta_low(args.a, args.h)), ("gorenstein-link-degrees",)
 
 
+@_route("gorenstein delta-high", _A, _H, schema="gorenstein-delta")
 def _cmd_gorenstein_delta_high(args):
     from . import classify
     return list(classify.delta_high(args.a, args.h)), ("gorenstein-link-degrees",)
 
 
+@_route("pfaffian alt", _flag("--delta", type=IntList, required=True))
 def _cmd_pfaffian_alt(args):
     from . import pfaffians
-    m = pfaffians.alt_matrix(_ints(args.delta))
+    m = pfaffians.alt_matrix(args.delta.ints())
     entries = [
         {"i": i, "j": j, "degree": m.entry_degrees[(i, j)],
          "terms": m.entry(i, j).to_json()}
@@ -267,15 +348,19 @@ def _cmd_pfaffian_alt(args):
     return payload, ("alternating-matrix",)
 
 
+@_route("pfaffian sub",
+        _flag("--delta", type=IntList, required=True), _flag("--i", type=int, required=True))
 def _cmd_pfaffian_sub(args):
     from . import pfaffians
-    m = pfaffians.alt_matrix(_ints(args.delta))
+    m = pfaffians.alt_matrix(args.delta.ints())
     if not 1 <= args.i <= m.size:
         raise DomainError("input-error", f"--i must be in 1..{m.size}")
     p_i = pfaffians.pfaffian(m, [k for k in range(1, m.size + 1) if k != args.i])
-    return _poly_json(p_i), ("sub-pfaffians",)
+    return ({"variables": list(p_i.ring.names), "terms": p_i.to_json(),
+             "degree": p_i.degree(), "pretty": str(p_i)}, ("sub-pfaffians",))
 
 
+@_route("pfaffian example")
 def _cmd_pfaffian_example(args):
     from . import pfaffians
     w = pfaffians.witness_ideals_a3_h5()
@@ -292,6 +377,12 @@ def _cmd_pfaffian_example(args):
     return payload, ("pfaffian-witness-ideals",)
 
 
+@_route("export cas",
+        _flag("--kind", required=True,
+              help="script kind; an unknown one is refused with the list"),
+        _flag("--ideal", help="monomial ideal JSON (kind=monomial)"), _flag("--ideal-file"),
+        _flag("--expected", help="expected Betti table JSON comment"),
+        _flag("--out", help="output file name (under ACI3_OUTPUT_DIR)"))
 def _cmd_export_cas(args):
     import hashlib
 
@@ -309,6 +400,10 @@ def _cmd_export_cas(args):
     return payload, ("cas-export",)
 
 
+@_route("verify",
+        _flag("--scope", default="all",
+              help="all (the default) or one scope; an unknown one is refused with the list"),
+        _flag("--max-degree", type=int, default=5), _flag("--max-a", type=int, default=6))
 def _cmd_verify(args):
     from . import verify
     report = verify.verify_suite(args.scope, max_degree=args.max_degree, max_a=args.max_a)
@@ -325,138 +420,40 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError("input-error", f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One route per output: the payload schema is ``<group>-<action>``
-    unless the route sets ``schema``."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--envelope", action="store_true",
-                        help="print the full status envelope instead of the bare payload")
-
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every route; given ``argv``, only the group it names gets
+    its routes.  That group is the first group name in ``argv``: argparse takes
+    the first token that is not an option, and no top-level option takes a value."""
+    chosen = None if argv is None else next((arg for arg in argv if arg in _GROUPS), None)
     parser = _Parser(
         prog="aci3",
         description="Hilbert functions and Betti tables of codimension-3 "
                     "almost complete intersection artinian algebras")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    hf = groups.add_parser("hf", help="Hilbert-function arithmetic")
-    hf_sub = hf.add_subparsers(dest="action", required=True)
-    p = hf_sub.add_parser("ci", parents=[common])
-    p.add_argument("--degrees", required=True, help="comma-separated CI degrees, e.g. 3,3,3")
-    p.add_argument("--csv", help="also write degree,value rows to this CSV file")
-    p.set_defaults(handler=_cmd_hf_ci)
-    p = hf_sub.add_parser("diff", parents=[common])
-    p.add_argument("--hf", required=True, help="comma-separated values, e.g. 1,3,3,1")
-    p.add_argument("--order", type=int, default=1)
-    p.set_defaults(handler=_cmd_hf_diff)
-    p = hf_sub.add_parser("from-betti", parents=[common])
-    p.add_argument("--table", required=True, help='Betti table JSON, e.g. {"c":3,"levels":[[0],[2,2,2],[4,4,4],[6]]}')
-    p.add_argument("--csv")
-    p.set_defaults(handler=_cmd_hf_from_betti)
-    p = hf_sub.add_parser("recognize", parents=[common])
-    p.add_argument("--hf", required=True)
-    p.set_defaults(handler=_cmd_hf_recognize)
-    p = hf_sub.add_parser("bound", parents=[common],
-                          help="lower bound for minimal generators in one degree")
-    p.add_argument("--hf", required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=_cmd_hf_bound)
-
-    aci = groups.add_parser("aci", help="monomial almost complete intersections")
-    aci_sub = aci.add_subparsers(dest="action", required=True)
-    p = aci_sub.add_parser("monomial", parents=[common])
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--verify", action="store_true",
-                   help="also check the Hilbert function against the CI one")
-    p.set_defaults(handler=_cmd_aci_monomial)
-
-    betti = groups.add_parser("betti", help="Koszul-homology Betti oracle")
-    betti_sub = betti.add_subparsers(dest="action", required=True)
-    p = betti_sub.add_parser("oracle", parents=[common])
-    p.add_argument("--ideal", help="monomial ideal JSON")
-    p.add_argument("--ideal-file", help="path to monomial ideal JSON")
-    p.add_argument("--expected", help="Betti table JSON to compare against")
-    p.set_defaults(handler=_cmd_betti_oracle)
-
-    lia = groups.add_parser("liaison", help="linkage arithmetic")
-    lia_sub = lia.add_subparsers(dest="action", required=True)
-    p = lia_sub.add_parser("link", parents=[common])
-    p.add_argument("--z", required=True, help="CI type, e.g. 2,2,3")
-    p.add_argument("--hq", required=True, help="Hilbert function of Q, e.g. 1,3,3,1")
-    p.add_argument("--lax", action="store_true", help="allow the zero result (self-link)")
-    p.set_defaults(handler=_cmd_liaison_link)
-    p = lia_sub.add_parser("cone", parents=[common])
-    p.add_argument("--table", required=True, help="Betti table JSON of Q")
-    p.add_argument("--z", required=True)
-    p.set_defaults(handler=_cmd_liaison_cone)
-
-    cls = groups.add_parser("classify", help="Betti-table classification for H_CI(a,a,a)")
-    cls_sub = cls.add_subparsers(dest="action", required=True)
-    p = cls_sub.add_parser("tables", parents=[common])
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.set_defaults(handler=_cmd_classify_tables)
-    p = cls_sub.add_parser("tmax", parents=[common])
-    p.add_argument("--a", type=int, required=True)
-    p.set_defaults(handler=_cmd_classify_tmax)
-    p = cls_sub.add_parser("dstar", parents=[common])
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--t", type=int, required=True, help="number of last syzygies")
-    p.set_defaults(handler=_cmd_classify_dstar)
-
-    gor = groups.add_parser("gorenstein", help="Gorenstein degree sequences")
-    gor_sub = gor.add_subparsers(dest="action", required=True)
-    p = gor_sub.add_parser("gaeta", parents=[common])
-    p.add_argument("--delta", required=True, help="sorted degrees, e.g. 2,3,3,4,4")
-    p.set_defaults(handler=_cmd_gorenstein_gaeta)
-    p = gor_sub.add_parser("delta-low", parents=[common])
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.set_defaults(handler=_cmd_gorenstein_delta_low, schema="gorenstein-delta")
-    p = gor_sub.add_parser("delta-high", parents=[common])
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.set_defaults(handler=_cmd_gorenstein_delta_high, schema="gorenstein-delta")
-
-    pf = groups.add_parser("pfaffian", help="alternating matrices and pfaffians")
-    pf_sub = pf.add_subparsers(dest="action", required=True)
-    p = pf_sub.add_parser("alt", parents=[common])
-    p.add_argument("--delta", required=True)
-    p.set_defaults(handler=_cmd_pfaffian_alt)
-    p = pf_sub.add_parser("sub", parents=[common])
-    p.add_argument("--delta", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(handler=_cmd_pfaffian_sub)
-    p = pf_sub.add_parser("example", parents=[common])
-    p.set_defaults(handler=_cmd_pfaffian_example)
-
-    exp = groups.add_parser("export", help="external-CAS script export")
-    exp_sub = exp.add_subparsers(dest="action", required=True)
-    p = exp_sub.add_parser("cas", parents=[common])
-    p.add_argument("--kind", required=True,
-                   help="script kind; an unknown one is refused with the list")
-    p.add_argument("--ideal", help="monomial ideal JSON (kind=monomial)")
-    p.add_argument("--ideal-file")
-    p.add_argument("--expected", help="expected Betti table JSON comment")
-    p.add_argument("--out", help="output file name (under ACI3_OUTPUT_DIR)")
-    p.set_defaults(handler=_cmd_export_cas)
-
-    ver = groups.add_parser("verify", parents=[common], help="run the verification suite")
-    ver.add_argument("--scope", default="all",
-                     help="all (the default) or one scope; an unknown one is refused "
-                          "with the list")
-    ver.add_argument("--max-degree", type=int, default=5)
-    ver.add_argument("--max-a", type=int, default=6)
-    ver.set_defaults(handler=_cmd_verify, schema="verify")
-
+    for group, help_line in _GROUPS.items():
+        group_parser = groups.add_parser(group, help=help_line)
+        routes = [r for r in ROUTES if r.group == group] if argv is None or group == chosen else []
+        if routes and routes[0].action is None:    # the group is one route
+            _add_route(group_parser, routes[0])
+        elif routes:
+            actions = group_parser.add_subparsers(dest="action", required=True)
+            for r in routes:    # help=None would still list the route in the group's --help
+                _add_route(actions.add_parser(r.action, **({"help": r.help} if r.help else {})), r)
     return parser
+
+
+def _add_route(p: argparse.ArgumentParser, route: Route) -> None:
+    """Give ``p`` the route's flags, after ``--envelope``, and the route itself."""
+    p.add_argument("--envelope", action="store_true",
+                   help="print the full status envelope instead of the bare payload")
+    for name, kwargs in route.flags:
+        p.add_argument(name, **kwargs)
+    p.set_defaults(route=route)
 
 
 def schema_name(args) -> str:
     """Name of the schema that the payload of a parsed route must match."""
-    return getattr(args, "schema", None) or f"{args.group}-{args.action}"
+    return args.route.schema
 
 
 def run(argv) -> CommandResult:
@@ -467,8 +464,8 @@ def run(argv) -> CommandResult:
     of a traceback.  SystemExit (``--help``) and KeyboardInterrupt propagate.
     """
     try:
-        args = build_parser().parse_args(argv)
-        payload, provenance = args.handler(args)
+        args = build_parser(argv).parse_args(argv)
+        payload, provenance = globals()[args.route.handler](args)
         validate_payload(schema_name(args), payload)
         result = CommandResult("ok", payload=payload, provenance=provenance,
                                show_envelope=args.envelope)

@@ -67,6 +67,21 @@ def test_tracer_spans_the_checks_verify_runs():
     assert "verify.check_gaeta" in {span[0] for span in tracer.spans}
 
 
+def test_tracer_spans_the_handler_a_route_runs(capsys):
+    # cli.handler_ms comes from the spans of the wrapped _cmd_* functions, so
+    # a route must look its handler up by name when it runs
+    from aci3 import cli
+
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["classify", "tmax", "--a", "4"]) == 0
+    finally:
+        tracer.remove()
+    assert capsys.readouterr().out == "5\n"
+    assert "cli.handler" in {span[0] for span in tracer.spans}
+
+
 def test_cli_import_loads_jsonschema():
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -273,6 +273,13 @@ class TestTMaxAndDStar:
         with pytest.raises(DomainError) as exc:
             d_star(3, 6, 4)
         assert exc.value.code == "invalid-family"
+        for t in (1, 0, -1):    # every table has t >= 2
+            with pytest.raises(DomainError) as exc:
+                d_star(2, 3, t)
+            assert exc.value.code == "input-error"
+        with pytest.raises(DomainError) as exc:
+            d_star(3, 3, 0)     # the h window is checked before t
+        assert exc.value.code == "h-out-of-range"
 
 
 class TestDeltas:

@@ -1,11 +1,11 @@
 """CLI surface: payload shapes, schema conformance, determinism, error codes,
 file outputs, and the CAS export scripts."""
 
-import argparse
 import copy
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aci3 import cli, export_cas, pfaffians, script_is_balanced, verify
+from aci3 import DomainError, cli, export_cas, pfaffians, script_is_balanced, verify
 from aci3.cli import build_parser, main, run, schema_name, validate_payload
 from aci3.schemacheck import compile_schema
 
@@ -285,20 +285,9 @@ class TestInputErrors:
         assert json_error(argv, capsys) == "input-error"
 
 
-def routes():
-    """(group, action, parser) for every route of the CLI; action is None
-    for a group without subcommands."""
-    def subcommands(parser):
-        return next((a.choices for a in parser._actions
-                     if isinstance(a, argparse._SubParsersAction)), None)
-
-    for group, group_parser in subcommands(build_parser()).items():
-        actions = subcommands(group_parser)
-        if actions is None:
-            yield group, None, group_parser
-        else:
-            for action, parser in actions.items():
-                yield group, action, parser
+def route_argv(route):
+    """The argv words that name ``route``."""
+    return [route.group] if route.action is None else [route.group, route.action]
 
 
 @lru_cache(maxsize=None)
@@ -341,22 +330,41 @@ TOUR = (
 
 class TestRoutes:
     def test_every_route_has_a_schema_and_every_schema_a_route(self):
-        served = set()
-        for group, action, parser in routes():
-            ns = argparse.Namespace(group=group, action=action, schema=parser.get_default("schema"))
-            assert parser.get_default("handler") is not None, (group, action)
-            served.add(schema_name(ns))
-        assert served == set(schema_files()) - {"envelope"}
+        # every handler is one route's, and each route is declared once
+        handlers = sorted(name for name in vars(cli) if name.startswith("_cmd_"))
+        assert sorted(route.handler for route in cli.ROUTES) == handlers
+        assert {route.group for route in cli.ROUTES} == set(cli._GROUPS)
+        assert {route.schema for route in cli.ROUTES} == set(schema_files()) - {"envelope"}
 
     def test_the_tour_calls_every_route_once(self):
         toured = [argv[:1] if argv[0] == "verify" else argv[:2] for argv in TOUR]
-        assert sorted(toured) == sorted([g] if a is None else [g, a] for g, a, _ in routes())
+        assert sorted(toured) == sorted(route_argv(route) for route in cli.ROUTES)
+
+    @pytest.mark.parametrize("argv", [
+        *TOUR,
+        *([*route_argv(route), "--help"] for route in cli.ROUTES),
+        ["--help"], ["classify", "--help"], ["hf", "ci", "--degrees", "3,3,3", "--env"],
+        [], ["nosuch"], ["hf", "nosuch"], ["classify"], ["hf", "ci"],
+        ["classify", "tmax", "--a", "x"], ["--envelope", "hf", "ci", "--degrees", "3,3,3"],
+        ["-x", "verify"], ["xyz", "hf", "ci"], ["hf", "ci", "--degrees", "3,3,3", "verify"],
+    ], ids=" ".join)
+    def test_parser_for_argv_parses_as_the_whole_parser(self, argv, capsys):
+        # build_parser(argv) adds only the routes of the group argv names
+        def outcome(parser):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr().out
+            except DomainError as exc:
+                return exc.code, str(exc)
+
+        assert outcome(build_parser(argv)) == outcome(build_parser())
 
     @pytest.mark.parametrize("argv", TOUR, ids=" ".join)
     def test_every_route_payload_passes_jsonschema(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
         schemas = schema_files()
-        name = schema_name(build_parser().parse_args(argv))
+        name = schema_name(build_parser(argv).parse_args(argv))
         jsonschema.validate(json.loads(stdout_of(argv, capsys)), schemas[name])
         envelope = json.loads(stdout_of(argv + ["--envelope"], capsys))
         jsonschema.validate(envelope, schemas["envelope"])
@@ -367,6 +375,39 @@ class TestRoutes:
         compile_schema(schema)
         with pytest.raises(ValueError, match="format"):
             compile_schema(dict(schema, format="date"))
+
+
+def readme_tour():
+    """(argv, trailing comment) for each ``aci3`` line of the README's CLI tour."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        if line.startswith("aci3 "):
+            command, _, comment = line.partition(" #")
+            yield shlex.split(command)[1:], comment.strip()
+
+
+README_TOUR = list(readme_tour())
+
+
+class TestReadmeTour:
+    """The README's CLI tour runs as written."""
+
+    @pytest.mark.parametrize("argv, comment", [pytest.param(*case, id=" ".join(case[0]))
+                                               for case in README_TOUR])
+    def test_line_runs_and_prints_its_comment(self, argv, comment, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        out = stdout_of(argv, capsys)
+        try:
+            json.loads(comment)
+        except ValueError:
+            return    # the comment is prose
+        assert out == comment + "\n"
+
+    def test_the_tour_shows_every_route_but_verify(self):
+        shown = {tuple(argv[:2]) for argv, _ in README_TOUR}
+        assert shown == {(route.group, route.action) for route in cli.ROUTES if route.action}
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -415,32 +456,30 @@ class TestImportGraph:
         assert "aci3.verify" not in after
 
 
-# Routes whose flags are all integers or integer lists, with small bounded
-# values; --flag=value keeps a negative value from reading as an option.
-SMALL = st.integers(-3, 12)
-INTS = st.lists(st.integers(-2, 8), max_size=4).map(lambda v: ",".join(map(str, v)))
+# Small bounded values for integer and integer-list flags; --flag=value
+# keeps a negative value from reading as an option.
+VALUES = {
+    int: st.integers(-3, 34),
+    cli.IntList: st.lists(st.integers(-2, 8), max_size=7).map(lambda v: ",".join(map(str, v))),
+}
+# The routes whose required flags are all integers or integer lists, by
+# name, with the flags to fuzz (their optional integer flags too).
 INTEGER_ROUTES = {
-    "classify tables": (("--a", st.integers(-3, 9)), ("--h", st.integers(-3, 28))),
-    "classify tmax": (("--a", SMALL),),
-    "classify dstar": (("--a", SMALL), ("--h", st.integers(-3, 34)), ("--t", SMALL)),
-    "gorenstein delta-low": (("--a", SMALL), ("--h", st.integers(-3, 34))),
-    "gorenstein delta-high": (("--a", SMALL), ("--h", st.integers(-3, 34))),
-    "hf ci": (("--degrees", INTS),),
-    "hf diff": (("--hf", INTS), ("--order", SMALL)),
-    "hf bound": (("--hf", INTS), ("--c", SMALL), ("--j", SMALL)),
+    " ".join(route_argv(route)): (route, [(name, VALUES[kw["type"]]) for name, kw in route.flags
+                                          if kw.get("type") in VALUES])
+    for route in cli.ROUTES
+    if any(kw.get("required") for _, kw in route.flags)
+    and all(kw.get("type") in VALUES for _, kw in route.flags if kw.get("required"))
 }
 # the codes the README gives for a bad numeric value
 NUMERIC_ERRORS = {"input-error", "h-out-of-range", "invalid-family", "not-hilbert-function",
-                  "too-large"}
+                  "not-linked", "theta-not-integral", "too-large"}
 
 
 @lru_cache(maxsize=None)
-def reference_validator(route):
-    """jsonschema's validator for the payload schema of ``route``."""
-    group, action = route.split()
-    parser = next(p for g, a, p in routes() if (g, a) == (group, action))
-    ns = argparse.Namespace(group=group, action=action, schema=parser.get_default("schema"))
-    schema = schema_files()[schema_name(ns)]
+def reference_validator(name):
+    """jsonschema's validator for the payload schema ``name``."""
+    schema = schema_files()[name]
     return jsonschema.validators.validator_for(schema)(schema)
 
 
@@ -449,13 +488,13 @@ class TestIntegerFlagFuzz:
     @settings(max_examples=20)
     @given(data=st.data())
     def test_payload_or_documented_error(self, route, data):
-        argv = route.split() + [f"{flag}={data.draw(values, label=flag)}"
-                                for flag, values in INTEGER_ROUTES[route]]
+        declared, flags = INTEGER_ROUTES[route]
+        argv = route.split() + [f"{flag}={data.draw(values, label=flag)}" for flag, values in flags]
         start = time.perf_counter()
         result = run(argv)
         assert time.perf_counter() - start < 2.0, argv
         if result.status == "ok":
-            reference_validator(route).validate(result.payload)
+            reference_validator(declared.schema).validate(result.payload)
         else:
             assert result.code in NUMERIC_ERRORS, (argv, result.code, result.message)
 
@@ -636,6 +675,10 @@ class TestPinnedPayloads:
         (3, 8, 3, "h-out-of-range"),
         (3, 6, 2, "invalid-family"),
         (3, 7, 4, "invalid-family"),
+        (2, 3, 1, "input-error"),     # every table has t >= 2
+        (2, 3, 0, "input-error"),
+        (2, 3, -1, "input-error"),
+        (3, 3, 0, "h-out-of-range"),  # the h window is checked before t
     ])
     def test_dstar_errors(self, a, h, t, code):
         assert run(["classify", "dstar", "--a", str(a), "--h", str(h), "--t", str(t)]).code == code
@@ -686,6 +729,5 @@ class TestExportCas:
         assert "{3, 3, 3, 5}" in q and "{3, 3, 3, 5}" in w
 
     def test_unknown_kind(self):
-        from aci3 import DomainError
         with pytest.raises(DomainError):
             export_cas("groebner", {})
