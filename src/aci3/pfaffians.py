@@ -1,47 +1,96 @@
-"""Sparse exact-integer multivariate polynomials and alternating-matrix
-pfaffians.
+"""Sparse exact-integer multivariate polynomials on packed monomials, and
+alternating-matrix pfaffians.
 
-Polynomials live over a fixed ordered variable list; terms map dense
-exponent tuples to nonzero integer coefficients.  The alternating matrix of
-a Gorenstein degree sequence delta = (d_1 <= ... <= d_{2n+1}) with
-theta = (sum d_i)/n has
+Polynomials live over a fixed ordered variable list.  A ring of n variables
+packs each exponent vector e into one integer key of n + 1 fields of
+``FIELD_BITS`` = 16 bits: e_1 in the most significant field, e_n in the
+next-to-lowest, and the total degree in the lowest, so the key's big-endian
+bytes are n + 1 unsigned 16-bit integers (``PolyRing.layout``).  A monomial
+product is one integer addition, the degree of a key is ``key &
+FIELD_MASK``, and integer order on keys is the descending-lex exponent order
+that ``sorted_terms`` prints (the degree field, a function of the
+exponents, never breaks a tie).  The top bit of each field is a guard,
+clear in every stored key, so a field holds at most ``MAX_EXPONENT`` =
+32767 and the sum of two keys carries out of no field.  The degree bounds
+every exponent, so a sum overflows a field exactly when it sets the guard
+bit of the degree field, ``GUARD``: a product of degree above
+``MAX_EXPONENT`` is refused with ``too-large``, never wrapped into a wrong
+monomial.  ``terms`` unpacks the keys into the exponent tuples that
+``to_json`` and ``str`` show.
+
+The alternating matrix of a Gorenstein degree sequence delta = (d_1 <= ...
+<= d_{2n+1}) with theta = (sum d_i)/n has
 
     a_ij = x_ij^(theta - d_i - d_j)   for i < j when the exponent is positive,
     a_ij = 0                          otherwise,
 
 over one variable x_ij per index pair.  Deleting row and column i of the
 matrix and taking the pfaffian of the rest yields a polynomial p_i that is
-homogeneous of degree exactly d_i.
+homogeneous of degree exactly d_i.  ``alt_matrix`` refuses entries above
+``MAX_DELTA_ENTRY`` = 3640 with ``too-large``: with at most 9 indices, every
+exponent and degree of Alt(delta) and of its pfaffians is at most
+sum(delta) <= 9 * 3640 <= ``MAX_EXPONENT``.
 
-One memoised first-row expansion serves polynomial and integer matrices
-alike: ``pfaffian``, ``sub_pfaffians`` and ``pfaffian_int`` all call it, so
-the Pf(M)^2 = det(M) check of ``pf_squared_equals_det`` tests the expansion
-behind the sub-pfaffians and the witness ideals.  It reads a two-index
-pfaffian straight off the matrix and looks each smaller index set up in the
+One memoised first-row expansion, ``_pf``, serves polynomial and integer
+matrices alike: ``pfaffian``, ``sub_pfaffians`` and ``pfaffian_int`` (whose
+integers are constants) all call it, so the Pf(M)^2 = det(M) check of
+``pf_squared_equals_det`` tests the expansion behind the sub-pfaffians and
+the witness ideals.  It works on the raw {key: coeff} dicts, adds each
++-entry * sub-pfaffian straight into its running total, reads a two-index
+pfaffian straight off the matrix and looks each larger index set up in the
 memo before it recurses.  ``pfaffian_last_row`` expands along the last row
-and is kept as the cross-check.
-
-The public ``SparsePolynomial`` constructor cleans its terms; arithmetic
-results, whose terms are clean by construction, skip that pass through
-``_clean``, and a difference is formed in one pass, without a negated copy.
+with ``SparsePolynomial`` arithmetic and is kept as the cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from functools import lru_cache, reduce
+from operator import or_
+from struct import Struct
 
 from .classify import DeltaLike, _as_delta
 from .errors import DomainError
 from .intmat import int_det
 from .monomials import format_monomial
 
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = FIELD_MASK >> 1
+GUARD = MAX_EXPONENT + 1
+MAX_SIZE = 9
+MAX_DELTA_ENTRY = MAX_EXPONENT // MAX_SIZE
+
+
+def _overflow() -> DomainError:
+    return DomainError("too-large", f"an exponent or degree exceeds {MAX_EXPONENT}")
+
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Ordered variable list; polynomials carry dense exponent tuples over it."""
+    """Ordered variable list; polynomials carry packed exponent keys over it."""
 
     names: tuple[str, ...]
+
+    def __post_init__(self):
+        # a key's bytes: the n exponents, then the degree
+        object.__setattr__(self, "layout", Struct(f">{len(self.names) + 1}H"))
+
+    def pack(self, expo) -> int:
+        """The key of an exponent vector over this ring."""
+        expo = tuple(int(e) for e in expo)
+        if len(expo) != len(self.names):
+            raise DomainError("input-error",
+                              f"{len(expo)} exponents for {len(self.names)} variables")
+        if any(e < 0 for e in expo):
+            raise DomainError("input-error", f"negative exponent in {expo}")
+        if sum(expo) > MAX_EXPONENT:
+            raise _overflow()
+        return int.from_bytes(self.layout.pack(*expo, sum(expo)), "big")
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a key over this ring."""
+        return self.layout.unpack(key.to_bytes(self.layout.size, "big"))[:-1]
 
     def zero(self) -> "SparsePolynomial":
         return _clean(self, {})
@@ -51,9 +100,7 @@ class PolyRing:
 
     def const(self, c: int) -> "SparsePolynomial":
         c = int(c)
-        if c == 0:
-            return self.zero()
-        return _clean(self, {(0,) * len(self.names): c})
+        return _clean(self, {0: c} if c else {})
 
     def var(self, name: str) -> "SparsePolynomial":
         return self.monomial(name, 1)
@@ -67,34 +114,40 @@ class PolyRing:
 
 
 class SparsePolynomial:
-    """Immutable-by-convention exact polynomial: {exponent tuple: coeff != 0}."""
+    """Immutable-by-convention exact polynomial: {packed key: coeff != 0}.
 
-    __slots__ = ("ring", "terms")
+    The constructor takes {exponent tuple: coeff}, as ``terms`` gives back.
+    """
+
+    __slots__ = ("ring", "packed")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = {tuple(e): int(c) for e, c in terms.items() if c}
+        self.packed = {ring.pack(e): int(c) for e, c in terms.items() if c}
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coeff}."""
+        unpack = self.ring.unpack
+        return {unpack(k): c for k, c in self.packed.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return max((k & FIELD_MASK for k in self.packed), default=None)
 
     def is_homogeneous(self, d=None) -> bool:
-        degs = {sum(e) for e in self.terms}
-        if not degs:
+        """Every term has one degree (d, when given); true of zero."""
+        if not self.packed:
             return True
-        if len(degs) > 1:
-            return False
-        return d is None or degs == {d}
+        degs = {k & FIELD_MASK for k in self.packed}
+        return len(degs) == 1 and (d is None or degs <= {d})
 
     def _coerce(self, other):
         if isinstance(other, SparsePolynomial):
@@ -110,8 +163,8 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self.packed)
+        for e, c in other.packed.items():
             c = out.get(e, 0) + sign * c
             if c:
                 out[e] = c
@@ -128,7 +181,7 @@ class SparsePolynomial:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return _clean(self.ring, {e: -c for e, c in self.terms.items()})
+        return _clean(self.ring, {e: -c for e, c in self.packed.items()})
 
     def __rsub__(self, other):
         return (-self) + other
@@ -139,11 +192,11 @@ class SparsePolynomial:
             return NotImplemented
         out: dict = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+        for e1, c1 in self.packed.items():
+            for e2, c2 in other.packed.items():
+                e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-        return _clean(self.ring, {e: c for e, c in out.items() if c})
+        return _clean(self.ring, _checked({e: c for e, c in out.items() if c}))
 
     __rmul__ = __mul__
 
@@ -152,14 +205,15 @@ class SparsePolynomial:
             other = self.ring.const(other)
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        return self.ring.names == other.ring.names and self.terms == other.terms
+        return self.ring.names == other.ring.names and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.ring.names, tuple(sorted(self.terms.items()))))
+        return hash((self.ring.names, tuple(sorted(self.packed.items()))))
 
     def sorted_terms(self):
         """Terms in descending lexicographic exponent order."""
-        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
+        unpack = self.ring.unpack
+        return [(unpack(k), c) for k, c in sorted(self.packed.items(), reverse=True)]
 
     def to_json(self) -> list[dict]:
         return [{"coeff": c, "exponents": list(e)} for e, c in self.sorted_terms()]
@@ -185,13 +239,21 @@ class SparsePolynomial:
         return f"SparsePolynomial({self})"
 
 
-def _clean(ring: PolyRing, terms: dict) -> SparsePolynomial:
-    """A polynomial on terms that are already clean (tuple exponents, nonzero
-    int coefficients), kept as given: the constructor without the copy."""
+def _clean(ring: PolyRing, packed: dict) -> SparsePolynomial:
+    """A polynomial on packed terms that are already clean (guard bit clear,
+    nonzero int coefficients), kept as given: the constructor without the
+    packing."""
     p = object.__new__(SparsePolynomial)
     p.ring = ring
-    p.terms = terms
+    p.packed = packed
     return p
+
+
+def _checked(packed: dict) -> dict:
+    """packed, once no key has the guard bit of its degree set."""
+    if packed and reduce(or_, packed) & GUARD:
+        raise _overflow()
+    return packed
 
 
 @dataclass(frozen=True)
@@ -207,7 +269,7 @@ class AlternatingMatrix:
     theta: int
     size: int
     ring: PolyRing
-    upper: dict = field(repr=False)  # (i, j) with i < j -> SparsePolynomial
+    upper: dict = field(repr=False)  # (i, j) with i < j -> packed nonzero entry
     entry_degrees: dict = field(repr=False)
 
     def entry(self, i: int, j: int) -> SparsePolynomial:
@@ -216,8 +278,8 @@ class AlternatingMatrix:
         if i == j:
             return self.ring.zero()
         if i < j:
-            return self.upper.get((i, j), self.ring.zero())
-        return -self.upper.get((j, i), self.ring.zero())
+            return _clean(self.ring, self.upper.get((i, j), {}))
+        return -_clean(self.ring, self.upper.get((j, i), {}))
 
     def pretty(self) -> str:
         cells = [[str(self.entry(i, j)) for j in range(1, self.size + 1)]
@@ -226,6 +288,18 @@ class AlternatingMatrix:
         return "\n".join(
             "[ " + "  ".join(s.rjust(width) for s in row) + " ]" for row in cells
         )
+
+
+@lru_cache(maxsize=64)
+def _alt_ring(size: int, extra_vars: tuple[str, ...]):
+    """The index pairs (i, j) of a size x size matrix, each with i - 1, j - 1
+    and the shift of the field of x_ij, and the ring over x_ij and the extra
+    variables."""
+    pairs = [(i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
+    ring = PolyRing(tuple(f"x{i}{j}" for i, j in pairs) + extra_vars)
+    n = len(ring.names)
+    return tuple(((i, j), i - 1, j - 1, FIELD_BITS * (n - k))
+                 for k, (i, j) in enumerate(pairs)), ring
 
 
 def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> AlternatingMatrix:
@@ -238,22 +312,22 @@ def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> Alternatin
     d = _as_delta(delta)
     degs = d.degrees
     m = len(degs)
-    if m > 9:
-        raise DomainError("too-large", f"supported up to 9 indices, got {m}")
+    if m > MAX_SIZE:
+        raise DomainError("too-large", f"supported up to {MAX_SIZE} indices, got {m}")
+    if degs[-1] > MAX_DELTA_ENTRY:
+        raise DomainError("too-large",
+                          f"entries supported up to {MAX_DELTA_ENTRY}, got {degs[-1]}")
     theta = d.theta
     if theta is None:
         raise DomainError("theta-not-integral", f"theta = {sum(degs)}/{d.n} is not an integer")
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    ring = PolyRing(tuple(f"x{i}{j}" for i, j in pairs) + tuple(extra_vars))
+    pairs, ring = _alt_ring(m, tuple(extra_vars))
     upper = {}
     entry_degrees = {}
-    for k, (i, j) in enumerate(pairs):
-        e = theta - degs[i - 1] - degs[j - 1]
-        entry_degrees[(i, j)] = e
+    for ij, i, j, shift in pairs:
+        e = theta - degs[i] - degs[j]
+        entry_degrees[ij] = e
         if e > 0:
-            expo = [0] * len(ring.names)
-            expo[k] = e
-            upper[(i, j)] = _clean(ring, {tuple(expo): 1})
+            upper[ij] = {e << shift | e: 1}
     return AlternatingMatrix(degs, theta, m, ring, upper, entry_degrees)
 
 
@@ -272,36 +346,50 @@ def pfaffian(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
     """Pfaffian of the principal submatrix on an even index subset
     (default: everything), by recursive expansion along the first row."""
     idx = _check_subset(m, subset if subset is not None else range(1, m.size + 1))
-    return _pf(m.upper, idx, m.ring.one(), m.ring.zero(), {})
+    return _clean(m.ring, _pf(m.upper, idx, {}))
 
 
-def _pf(upper: dict, idx: tuple, one, zero, memo: dict):
-    """First-row expansion of the pfaffian on the index tuple idx.
+def _pf(upper: dict, idx: tuple, memo: dict) -> dict:
+    """First-row expansion of the pfaffian on the index tuple idx, as a
+    {packed key: coeff} dict.
 
-    ``upper`` maps (i, j) with i < j to the nonzero entries; ``one`` and
-    ``zero`` are those of the coefficient ring (SparsePolynomial or int), and
-    ``memo`` caches the sub-pfaffians on smaller index sets by index tuple.
+    ``upper`` maps (i, j) with i < j to the nonzero entries as packed dicts,
+    and ``memo`` caches the pfaffians of index sets of four or more by index
+    tuple.
     """
     if len(idx) == 2:
-        return upper.get(idx, zero)
+        return upper.get(idx, {})
     if not idx:
-        return one
+        return {0: 1}
     first = idx[0]
     rest = idx[1:]
-    total = zero
+    total: dict = {}
+    get = total.get
+    sign = -1
     for pos, other in enumerate(rest):
+        sign = -sign
         entry = upper.get((first, other))
         if entry is None:
             continue
         key = rest[:pos] + rest[pos + 1:]
-        sub = memo.get(key)
-        if sub is None:
-            sub = memo[key] = _pf(upper, key, one, zero, memo)
-        if not sub:
-            continue
-        term = entry * sub
-        total = total + term if pos % 2 == 0 else total - term
-    return total
+        if len(key) == 2:
+            sub = upper.get(key)
+            if sub is None:
+                continue
+        else:
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = _pf(upper, key, memo)
+            if not sub:
+                continue
+        for e1, c1 in entry.items():
+            c1 *= sign
+            for e2, c2 in sub.items():
+                e = e1 + e2
+                total[e] = get(e, 0) + c1 * c2
+    if 0 in total.values():
+        total = {e: c for e, c in total.items() if c}
+    return _checked(total)
 
 
 def pfaffian_last_row(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
@@ -317,7 +405,7 @@ def pfaffian_last_row(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
             entry = m.upper.get((other, last))
             if entry is None:
                 continue
-            term = entry * rec(tuple(k for k in ind[:-1] if k != other))
+            term = _clean(m.ring, entry) * rec(tuple(k for k in ind[:-1] if k != other))
             total = total + term if pos % 2 == 0 else total - term
         return total
 
@@ -329,17 +417,17 @@ def sub_pfaffians(m: AlternatingMatrix) -> list[SparsePolynomial]:
     matrix must have odd size.  Each p_i is homogeneous of degree d_i."""
     if m.size % 2 == 0:
         raise DomainError("input-error", f"need odd size, got {m.size}")
-    one, zero, memo = m.ring.one(), m.ring.zero(), {}
+    memo = {}
     full = tuple(range(1, m.size + 1))
     return [
-        _pf(m.upper, tuple(k for k in full if k != i), one, zero, memo)
-        for i in full
+        _clean(m.ring, _pf(m.upper, full[:i] + full[i + 1:], memo))
+        for i in range(m.size)
     ]
 
 
 def pfaffian_int(mat) -> int:
     """Pfaffian of an integer alternating matrix (0-based list of rows), by
-    the same first-row expansion as ``pfaffian``."""
+    the same first-row expansion as ``pfaffian``, on constants."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DomainError("input-error", "matrix is not square")
@@ -351,8 +439,8 @@ def pfaffian_int(mat) -> int:
                 raise DomainError("input-error", "matrix is not alternating")
     if n % 2:
         raise DomainError("input-error", f"pfaffian needs even size, got {n}")
-    upper = {(i, j): mat[i][j] for i in range(n) for j in range(i + 1, n) if mat[i][j]}
-    return _pf(upper, tuple(range(n)), 1, 0, {})
+    upper = {(i, j): {0: mat[i][j]} for i in range(n) for j in range(i + 1, n) if mat[i][j]}
+    return _pf(upper, tuple(range(n)), {}).get(0, 0)
 
 
 def pf_squared_equals_det(mat) -> bool:

@@ -286,7 +286,7 @@ def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
                 continue
             m = pfaffians.alt_matrix(degs)
             for i, p in enumerate(pfaffians.sub_pfaffians(m)):
-                if not p.is_zero and (not p.is_homogeneous() or p.degree() != degs[i]):
+                if not p.is_homogeneous(degs[i]):
                     raise _Failed(f"deg p_{i + 1} != {degs[i]} for delta = {degs}")
             cases += 1
     return f"{cases} degree sequences, length <= {max_len}, entries <= {max_entry}"

@@ -67,6 +67,22 @@ def test_tracer_spans_the_checks_verify_runs():
     assert "verify.check_gaeta" in {span[0] for span in tracer.spans}
 
 
+def test_tracer_spans_the_pfaffian_scope():
+    # pfaffians.* metrics come from the spans of the wrapped pfaffian
+    # functions and from len(p.terms) of what sub_pfaffians returns
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert verify.verify_suite("pfaffian").passed
+    finally:
+        tracer.remove()
+    names = {span[0] for span in tracer.spans}
+    assert {f"pfaffians.{name}" for name in (
+        "alt_matrix", "pfaffian", "sub_pfaffians", "pfaffian_int", "pf_squared_equals_det",
+        "witness_ideals_a3_h5")} <= names
+    assert tracer.counts["pfaffians.terms_out"] > 0
+
+
 def test_tracer_spans_the_handler_a_route_runs(capsys):
     # cli.handler_ms comes from the spans of the wrapped _cmd_* functions, so
     # a route must look its handler up by name when it runs

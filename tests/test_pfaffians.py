@@ -1,5 +1,6 @@
 """Polynomial arithmetic, alternating matrices, and the pfaffian engine."""
 
+import json
 import random
 import warnings
 
@@ -17,11 +18,16 @@ from aci3 import (
     pfaffian,
     pfaffian_int,
     pfaffian_last_row,
+    pfaffians,
     sub_pfaffians,
     witness_ideals_a3_h5,
 )
+from aci3.cli import main, run
 from aci3.intmat import int_det
 from aci3.verify import random_alternating
+
+MAX = pfaffians.MAX_EXPONENT
+CAP = pfaffians.MAX_DELTA_ENTRY
 
 
 class TestSparsePolynomial:
@@ -65,8 +71,18 @@ class TestSparsePolynomial:
             _ = self.x + other.var("z")
 
 
-exponents = st.tuples(*[st.integers(0, 2)] * 3)
-term_dicts = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+@st.composite
+def exponents(draw):
+    """Four small exponents, or one of them raised so that the degree lies
+    within 6 of the cap MAX (and never above it)."""
+    e = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        e[k] = draw(st.integers(MAX - 6, MAX)) - (sum(e) - e[k])
+    return tuple(e)
+
+
+term_dicts = st.dictionaries(exponents(), st.integers(-3, 3), max_size=6)
 
 
 def ref_add(p, q, sign=1):
@@ -86,11 +102,12 @@ def ref_mul(p, q):
 
 
 class TestArithmeticAgainstDicts:
-    # small exponents and coefficients, so sums and products often cancel
-    ring = PolyRing(("x", "y", "z"))
+    # small coefficients, so sums and products often cancel; exponents up to
+    # the cap, so products often overflow it
+    ring = PolyRing(("w", "x", "y", "z"))
 
     def clean(self, poly):
-        assert all(type(e) is tuple and len(e) == 3 for e in poly.terms)
+        assert all(type(e) is tuple and len(e) == 4 for e in poly.terms)
         assert all(type(c) is int and c != 0 for c in poly.terms.values())
         return poly.terms
 
@@ -101,7 +118,13 @@ class TestArithmeticAgainstDicts:
         assert self.clean(fp) == p
         assert self.clean(fp + fq) == ref_add(p, q)
         assert self.clean(fp - fq) == ref_add(p, q, -1)
-        assert self.clean(fp * fq) == ref_mul(p, q)
+        product = ref_mul(p, q)
+        if any(sum(e) > MAX for e in product):
+            with pytest.raises(DomainError) as exc:
+                fp * fq
+            assert exc.value.code == "too-large"
+        else:
+            assert self.clean(fp * fq) == product
         assert self.clean(-fp) == ref_add({}, p, -1)
         assert self.clean(fp - fp) == {}
         assert self.clean(fp + (-fp)) == {}
@@ -112,11 +135,59 @@ class TestArithmeticAgainstDicts:
     def test_mixed_with_int(self, p, k):
         fp = SparsePolynomial(self.ring, p)
         p = ref_add({}, p)
-        const = {(0, 0, 0): k} if k else {}
+        const = {(0, 0, 0, 0): k} if k else {}
         assert self.clean(fp + k) == self.clean(k + fp) == ref_add(p, const)
         assert self.clean(fp - k) == ref_add(p, const, -1)
         assert self.clean(k - fp) == ref_add(const, p, -1)
         assert self.clean(fp * k) == self.clean(k * fp) == ref_mul(p, const)
+
+    @given(term_dicts, st.integers(0, MAX))
+    def test_degree_homogeneity_and_order(self, p, d):
+        fp = SparsePolynomial(self.ring, p)
+        p = ref_add({}, p)
+        degrees = {sum(e) for e in p}
+        assert fp.degree() == (max(degrees) if degrees else None)
+        assert fp.is_homogeneous() == (len(degrees) <= 1)
+        for k in degrees | {d}:
+            assert fp.is_homogeneous(k) == (degrees <= {k})
+        # descending lex: compare exponents left to right, larger first
+        assert fp.sorted_terms() == sorted(p.items(), reverse=True)
+
+    @given(term_dicts)
+    def test_json_round_trip(self, p):
+        fp = SparsePolynomial(self.ring, p)
+        rebuilt = {tuple(t["exponents"]): t["coeff"] for t in fp.to_json()}
+        assert SparsePolynomial(self.ring, rebuilt) == fp
+
+
+class TestPacking:
+    ring = PolyRing(("x", "y"))
+
+    @pytest.mark.parametrize("expo, code", [
+        ((-1, 0), "input-error"),
+        ((1,), "input-error"),
+        ((MAX + 1, 0), "too-large"),
+        ((MAX, 1), "too-large"),       # each exponent fits, the degree does not
+    ])
+    def test_unpackable_exponents_refused(self, expo, code):
+        with pytest.raises(DomainError) as exc:
+            SparsePolynomial(self.ring, {expo: 1})
+        assert exc.value.code == code
+
+    def test_negative_power_refused(self):
+        with pytest.raises(DomainError) as exc:
+            self.ring.monomial("x", -1)
+        assert exc.value.code == "input-error"
+
+    def test_product_overflowing_a_field_is_too_large(self):
+        x, y = self.ring.var("x"), self.ring.var("y")
+        top = self.ring.monomial("x", MAX)
+        assert top.terms == {(MAX, 0): 1} and top.degree() == MAX
+        assert (self.ring.monomial("x", MAX - 1) * y).degree() == MAX
+        for factor in (x, y, top):
+            with pytest.raises(DomainError) as exc:
+                top * factor
+            assert exc.value.code == "too-large"
 
 
 class TestAltMatrix:
@@ -213,7 +284,7 @@ def _even_matrix():
     from aci3.pfaffians import AlternatingMatrix
     m = alt_matrix((1, 1, 1))
     return AlternatingMatrix(m.delta[:2], m.theta, 2, m.ring,
-                             {(1, 2): m.entry(1, 2)}, {(1, 2): 1})
+                             {(1, 2): m.upper[(1, 2)]}, {(1, 2): 1})
 
 
 class TestPfaffianInt:
@@ -280,6 +351,58 @@ def gorenstein_deltas(draw):
     n = (length - 1) // 2
     degs[-1] += -sum(degs) % n     # raise the top entry to the next multiple
     return tuple(degs)
+
+
+class TestSubPfaffianPayload:
+    @given(gorenstein_deltas(), st.data())
+    def test_json_round_trip(self, delta, data):
+        # the payload of pfaffian sub rebuilds the polynomial it printed
+        i = data.draw(st.integers(1, len(delta)))
+        result = run(["pfaffian", "sub", "--delta", ",".join(map(str, delta)), "--i", str(i)])
+        assert result.status == "ok", result.message
+        result = result.payload
+        ring = PolyRing(tuple(result["variables"]))
+        rebuilt = SparsePolynomial(ring, {tuple(t["exponents"]): t["coeff"]
+                                          for t in result["terms"]})
+        m = alt_matrix(delta)
+        assert rebuilt == pfaffian(m, [k for k in range(1, m.size + 1) if k != i])
+        assert str(rebuilt) == result["pretty"]
+
+
+class TestEntryCap:
+    # every exponent and degree of Alt(delta) and its pfaffians is at most
+    # sum(delta) <= 9 * CAP, which fits a field
+    def test_cap_fits_a_field(self):
+        assert pfaffians.MAX_SIZE * CAP <= MAX
+
+    @pytest.mark.parametrize("delta", [
+        (CAP, CAP, CAP),
+        # nine indices, theta integral: the largest sum the cap allows
+        (CAP - 9 * CAP % 4,) + (CAP,) * 8,
+    ])
+    def test_at_the_cap(self, delta, capsys):
+        arg = ",".join(map(str, delta))
+        assert main(["pfaffian", "alt", "--delta", arg]) == 0
+        alt = json.loads(capsys.readouterr().out)
+        assert max(e["degree"] for e in alt["entries"]) == alt["theta"] - delta[0] - delta[1]
+        assert main(["pfaffian", "sub", "--delta", arg, "--i", "1"]) == 0
+        sub = json.loads(capsys.readouterr().out)
+        assert sub["degree"] == delta[0]
+
+    @pytest.mark.parametrize("route", [["pfaffian", "alt"], ["pfaffian", "sub", "--i", "1"]])
+    def test_one_above_the_cap(self, route, capsys):
+        assert main(route + ["--delta", f"1,1,{CAP + 1}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "too-large"
+
+    def test_refused_before_a_ring_is_built(self, monkeypatch):
+        def no_ring(*args):
+            raise AssertionError("ring built")
+        monkeypatch.setattr(pfaffians, "_alt_ring", no_ring)
+        with pytest.raises(DomainError) as exc:
+            alt_matrix((1, 1, 1, 1, CAP + 1))
+        assert exc.value.code == "too-large"
 
 
 class TestSubPfaffiansAgainstLastRow:

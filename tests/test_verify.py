@@ -114,10 +114,27 @@ def test_plan_keeps_the_scope_bounds(monkeypatch):
 
 
 def test_pf_squared_checks_the_shared_expansion(monkeypatch):
-    # pfaffian_int runs on the expansion behind pfaffian and sub_pfaffians
+    # pfaffian_int runs on the expansion behind pfaffian and sub_pfaffians:
+    # adding one to the constant term of every expansion breaks both
     original = pfaffians._pf
-    monkeypatch.setattr(pfaffians, "_pf", lambda *args: original(*args) + args[2])
+    m = pfaffians.alt_matrix((2, 3, 3, 4, 4))
+    expected = pfaffians.sub_pfaffians(m)
+
+    def off_by_one(upper, idx, memo):
+        out = dict(original(upper, idx, memo))
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(pfaffians, "_pf", off_by_one)
     assert verify.check_pf_squared().ok is False
+    assert pfaffians.sub_pfaffians(m) != expected
+
+
+def test_pfaffian_degree_check_covers_every_sequence():
+    # the detail pins how many sequences the check expands
+    result = verify.check_pfaffian_degrees()
+    assert result.ok
+    assert result.detail == "1656 degree sequences, length <= 7, entries <= 8"
 
 
 def test_cli_verify_exits_1_on_failure(monkeypatch, capsys):
