@@ -17,8 +17,9 @@ levels 2 and 3: ``cancel_couple`` removes a couple R(-i) (+) R(-(s - i))
 within a fixed twist window (odd-parity families require t >= 5 at the time
 of cancellation, keeping t >= 3), and ``cancel_ah`` removes the single
 R(-(a+h)) pair, moving an even-parity table with t >= 4 to the odd family.
-``enumerate_tables`` builds the table poset as the closure of one maximal
-table (even for h < 2a, odd from h = 2a on) under these two moves.
+These cancellations are independent, so ``enumerate_tables`` builds the
+table poset in closed form: one node per subset of them except the one that
+cancels everything, which the t-floor forbids.
 
 ``delta_low`` and ``delta_high`` build the generator-degree sequences of the
 linked Gorenstein ideals realizing the maximal tables; both satisfy the
@@ -315,52 +316,50 @@ class TablePoset:
 
 
 def enumerate_tables(a: int, h: int) -> TablePoset:
-    """Every Betti table of the (a, h) families: the closure of the maximal
-    table under ``cancel_couple`` and ``cancel_ah``, with one edge per
-    successful cancellation.
+    """Every Betti table of the (a, h) families, with one edge per
+    cancellation between them, built in closed form.
 
-    The seed is the maximal table of the even family for h < 2a and of the
-    odd family otherwise; below 2a the odd maximal table is ``cancel_ah`` of
-    the even one, so one seed reaches both families.  Nodes are ordered
-    lexicographically by their level multisets, and each node's edges follow
-    it: couples in ``allowed_couples`` order, then the a+h edge.  Posets
-    with more than ``MAX_POSET_NODES`` nodes raise too-large before any
-    table is built.
+    The d cancellations (the ``allowed_couples``, plus a+h below h = 2a) are
+    independent, so each table is one subset of them, held as a bitmask
+    (couples in order, then a+h): its levels keep the maximal table's free
+    twists that it does not cancel, and it is odd iff h >= 2a or it cancels
+    a+h.  The t-floor forbids only the subset that cancels everything, so
+    the poset has 2^d - 1 nodes.  Nodes are ordered lexicographically by
+    their level multisets, and each node's edges follow it, one per further
+    cancellation: couples in ``allowed_couples`` order, then the a+h edge.
+    ``cancel_couple`` and ``cancel_ah`` are the same moves one table at a
+    time.  Posets with more than ``MAX_POSET_NODES`` nodes raise too-large
+    before any table is built.
     """
     _check_at_least_2(a, "a")
     check_h_window(a, h)
-    # d independent cancellations give 2^d subsets; the t-floor drops the empty
+    # d independent cancellations give 2^d subsets; the t-floor drops the full
     # one.  Comparing d first keeps a huge h from building a huge 2^d.
     d = (h - a) // 2 + 1 if h < 2 * a else (3 * a - h) // 2
     if d > MAX_POSET_NODES.bit_length() or 2 ** d - 1 > MAX_POSET_NODES:
         raise DomainError("too-large", f"(a, h) = ({a}, {h}): the table poset has "
                                        f"2^{d} - 1 nodes, more than {MAX_POSET_NODES}")
-    seed = maximal_table(AciFamily(a, h, EVEN if h < 2 * a else ODD))
-    found: dict[tuple, tuple[AciTable, list]] = {}
-    todo = [seed]
-    while todo:
-        node = todo.pop()
-        if node.table.levels in found:
-            continue
-        moves = []
-        for pair in allowed_couples(node.family):
-            try:
-                moves.append(("couple", pair, cancel_couple(node, pair)))
-            except DomainError:
-                pass
-        try:
-            moves.append(("ah", (a + h,), cancel_ah(node)))
-        except DomainError:
-            pass
-        found[node.table.levels] = (node, moves)
-        todo.extend(target for _, _, target in moves)
-
-    order = sorted(found)
-    position = {levels: i for i, levels in enumerate(order)}
-    edges = tuple(PosetEdge(i, position[target.table.levels], kind, twists)
-                  for i, levels in enumerate(order)
-                  for kind, twists, target in found[levels][1])
-    return TablePoset(a, h, tuple(found[levels][0] for levels in order), edges)
+    high = h >= 2 * a
+    moves = [("couple", pair) for pair in allowed_couples(AciFamily(a, h, ODD if high else EVEN))]
+    if not high:
+        moves.append(("ah", (a + h,)))
+    full = (1 << d) - 1     # cancels everything: the t-floor leaves it out
+    head = ((0,), tuple(sorted((a, a, a, h))))
+    found = []
+    for mask in range(full):
+        kept = [j for i, (_, twists) in enumerate(moves) if not mask >> i & 1 for j in twists]
+        found.append((head + (tuple(sorted([h, 2 * a, 2 * a, 2 * a] + kept)),
+                              tuple(sorted(kept + [3 * a]))), mask))
+    found.sort()
+    position = {mask: i for i, (_, mask) in enumerate(found)}
+    ah_bit = 0 if high else 1 << (d - 1)
+    nodes = tuple(AciTable(a, h, ODD if high or mask & ah_bit else EVEN, BettiTable(3, levels))
+                  for levels, mask in found)
+    edges = tuple(PosetEdge(position[mask], position[mask | 1 << i], kind, twists)
+                  for _, mask in found
+                  for i, (kind, twists) in enumerate(moves)
+                  if not mask >> i & 1 and mask | 1 << i != full)
+    return TablePoset(a, h, nodes, edges)
 
 
 def t_max(a: int) -> int:

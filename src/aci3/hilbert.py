@@ -43,8 +43,8 @@ class HilbertFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if any(v < 0 for v in vals):
+        vals = tuple(map(int, self.values))
+        if vals and min(vals) < 0:
             raise DomainError("not-hilbert-function", f"negative value in {vals}")
         while vals and vals[-1] == 0:
             vals = vals[:-1]
@@ -122,7 +122,7 @@ class BettiTable:
     def __post_init__(self):
         if self.c < 1:
             raise DomainError("input-error", f"need c >= 1, got c = {self.c}")
-        lvls = tuple(tuple(sorted(int(j) for j in level)) for level in self.levels)
+        lvls = tuple(tuple(sorted(map(int, level))) for level in self.levels)
         if len(lvls) != self.c + 1:
             raise DomainError(
                 "input-error",
@@ -131,7 +131,7 @@ class BettiTable:
         if lvls[0] != (0,):
             raise DomainError("input-error", f"level 0 must be (0,), got {lvls[0]}")
         for level in lvls:
-            if any(j < 0 for j in level):
+            if level and level[0] < 0:    # sorted, so its first twist is the least
                 raise DomainError("input-error", f"negative twist in {level}")
         object.__setattr__(self, "levels", lvls)
 

@@ -4,13 +4,16 @@
 The check accepts and rejects what ``jsonschema.validate`` does under draft
 2020-12, for the keywords in ``KEYWORDS`` and the type names in ``TYPES``;
 any other keyword or type name fails to compile, so a schema edit cannot be
-ignored silently.  A violation raises ``jsonschema.ValidationError`` whose
-message starts with the failing path.  The tests hold this module to
-``jsonschema.validate`` itself.
+ignored silently.  An integer leaf schema (``type`` integer, with or
+without ``minimum``) is one closure that tests ``type(v) is int`` first and
+sends any other value through the same checks.  A violation raises
+``jsonschema.ValidationError`` whose message starts with the failing path.
+The tests hold this module to ``jsonschema.validate`` itself.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import reprlib
 
@@ -29,6 +32,7 @@ TYPES = {
     "array": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
 }
+_INTEGER_LEAF = {"$schema", "$id", "type", "minimum"}
 
 
 class _Invalid(Exception):
@@ -144,11 +148,18 @@ def _compile(schema):
         return _accept if schema else _reject
     checks = list(_checks(schema))
     if len(checks) <= 1:
-        return checks[0] if checks else _accept
+        check_all = checks[0] if checks else _accept
+    else:
+        def check_all(v):
+            for check in checks:
+                check(v)
+    if schema.get("type") == "integer" and schema.keys() <= _INTEGER_LEAF:
+        low = schema.get("minimum", -math.inf)
 
-    def check_all(v):
-        for check in checks:
-            check(v)
+        def check_integer(v):   # anything but an int at or above the minimum takes the long way
+            if type(v) is not int or v < low:
+                check_all(v)
+        return check_integer
     return check_all
 
 

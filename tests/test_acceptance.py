@@ -7,9 +7,11 @@ desk-reproducible; they are covered by the table-coherence checks plus
 generated external-CAS scripts (criterion 10).
 """
 
+import hashlib
+import json
 import time
 
-from aci3 import verify
+from aci3 import cli, verify
 from aci3.verify import verify_suite
 
 
@@ -46,6 +48,18 @@ def test_c04_classification_coherence():
     elapsed = time.perf_counter() - start
     _report(4, "table coherence (Hilbert, duality, a+h law, parity, d*)", result)
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
+
+
+def test_largest_poset_within_budget():
+    # (23, 45) has 4095 tables, exactly MAX_POSET_NODES: the largest call the cap admits
+    start = time.perf_counter()
+    result = cli.run(["classify", "tables", "--a", "23", "--h", "45"])
+    elapsed = time.perf_counter() - start
+    assert result.status == "ok", result.message
+    text = json.dumps(result.payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "98e22d582acd9fc7f324c12edb1f490e26666a3b06585bad62f104576dbf5b5f"
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
 
 
 def test_c05_t_max():

@@ -3,8 +3,11 @@ the distinguished degree, and the Gorenstein degree-sequence builders."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aci3 import (
     AciFamily,
@@ -24,6 +27,43 @@ from aci3 import (
     t_max,
 )
 from aci3.classify import EVEN, MAX_POSET_NODES, ODD, PosetEdge
+
+
+def depth(a, h):
+    """Number d of independent cancellations: the couples, plus a+h below 2a."""
+    return (h - a) // 2 + 1 if h < 2 * a else (3 * a - h) // 2
+
+
+def closure_poset(a, h):
+    """Oracle: the table poset as the closure of the maximal table under
+    ``cancel_couple`` and ``cancel_ah``, found by a worklist search, with one
+    edge per successful move.  Nodes are sorted by levels; each node's edges
+    follow it, couples in ``allowed_couples`` order, then a+h."""
+    seed = maximal_table(AciFamily(a, h, EVEN if h < 2 * a else ODD))
+    found = {}
+    todo = [seed]
+    while todo:
+        node = todo.pop()
+        if node.table.levels in found:
+            continue
+        moves = []
+        for pair in allowed_couples(node.family):
+            try:
+                moves.append(("couple", pair, cancel_couple(node, pair)))
+            except DomainError:
+                pass
+        try:
+            moves.append(("ah", (a + h,), cancel_ah(node)))
+        except DomainError:
+            pass
+        found[node.table.levels] = (node, moves)
+        todo.extend(target for _, _, target in moves)
+    order = sorted(found)
+    position = {levels: i for i, levels in enumerate(order)}
+    edges = tuple(PosetEdge(i, position[target.table.levels], kind, twists)
+                  for i, levels in enumerate(order)
+                  for kind, twists, target in found[levels][1])
+    return tuple(found[levels][0] for levels in order), edges
 
 
 class TestGaeta:
@@ -210,10 +250,37 @@ class TestEnumerate:
     @pytest.mark.parametrize("a", range(2, 14))
     def test_node_count_formula(self, a):
         # d independent cancellations (couples, plus a+h below 2a) give
-        # 2^d subsets; the t-floor removes exactly the empty one.
+        # 2^d subsets; the t-floor removes exactly the full one.
         for h in range(a + 1, 3 * a - 1):
-            d = (h - a) // 2 + 1 if h <= 2 * a - 1 else (3 * a - h) // 2
-            assert len(enumerate_tables(a, h).nodes) == 2 ** d - 1, (a, h)
+            assert len(enumerate_tables(a, h).nodes) == 2 ** depth(a, h) - 1, (a, h)
+
+    @pytest.mark.parametrize("a", range(2, 13))
+    def test_closed_form_equals_closure(self, a):
+        for h in range(a + 1, 3 * a - 1):
+            poset = enumerate_tables(a, h)
+            nodes, edges = closure_poset(a, h)
+            assert poset.nodes == nodes, (a, h)
+            assert poset.edges == edges, (a, h)
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 40).flatmap(lambda a: st.tuples(st.just(a), st.sampled_from(
+        [h for h in range(a + 1, 3 * a - 1) if depth(a, h) <= 9]))))   # at most 511 tables
+    def test_poset_laws(self, ah):
+        a, h = ah
+        poset = enumerate_tables(a, h)
+        assert len(poset.nodes) == 2 ** depth(a, h) - 1
+        expected = ci_hilbert((a, a, a))
+        for node in poset.nodes:
+            levels = node.table.levels
+            assert hilbert_from_betti(node.table) == expected
+            odd = h >= 2 * a or a + h not in levels[2]
+            assert node.parity == (ODD if odd else EVEN)
+            assert node.t % 2 == odd
+            assert not odd or node.t >= 3
+        for edge in poset.edges:
+            src, dst = poset.nodes[edge.src].table.levels, poset.nodes[edge.dst].table.levels
+            for level in (2, 3):    # as multisets, src = dst + the edge's twists
+                assert Counter(src[level]) == Counter(dst[level]) + Counter(edge.twists)
 
     def test_too_large_rejected_before_enumerating(self):
         # d = 12 gives 2^12 - 1 = MAX_POSET_NODES nodes, the largest poset built

@@ -61,6 +61,9 @@ class TestHilbertFunction:
             HilbertFunction((1, -1))
         with pytest.raises(DomainError):
             HilbertFunction((2, 1))
+        with pytest.raises(DomainError, match="negative value") as exc:
+            HilbertFunction((1, 3, -1))
+        assert exc.value.code == "not-hilbert-function"
 
     def test_at_outside_support(self):
         h = HilbertFunction((1, 2, 1))
@@ -284,6 +287,10 @@ class TestBettiTable:
             BettiTable(3, ((0,), (2,), (4,)))  # wrong level count
         with pytest.raises(DomainError):
             BettiTable(2, ((1,), (2,), (3,)))  # level 0 must be (0,)
+        for level in ((5, -1), (-1, 5), (2, 7, -3, 4)):   # wherever the negative twist is
+            with pytest.raises(DomainError, match=r"negative twist in \(-") as exc:
+                BettiTable(3, ((0,), (2, 2, 2), level, (6,)))
+            assert exc.value.code == "input-error"
 
     def test_sorting_and_t(self):
         table = BettiTable(3, ((0,), (3, 2, 2), (4, 4, 5), (6, 7)))

@@ -8,6 +8,15 @@ from aci3.schemacheck import compile_schema
 
 DRAFT = "https://json-schema.org/draft/2020-12/schema"
 
+
+class IntSubclass(int):
+    pass
+
+
+# the edges of "integer": bools, integral and special floats, big ints, int subclasses
+NEAR_INTEGERS = [True, False, 1.0, -0.0, 2.5, float("nan"), float("inf"), -float("inf"),
+                 2**80, -2**80, IntSubclass(3), IntSubclass(-3), 0, -1, "1", None, [1]]
+
 CASES = [
     ({"type": "integer"}, [1, -3, 2**70, 1.0, 1.5, True, "1", None, []]),
     ({"type": ["integer", "null"]}, [None, 1, 1.0, False, "x"]),
@@ -39,15 +48,22 @@ CASES = [
     ({"required": ["a", "b"]}, [{"a": 1, "b": 2}, {"a": 1}, [], "ab"]),
     ({"properties": {"p": {"type": "integer"}}}, [{"p": 1}, {"p": None}, {"q": None}]),
     ({}, [None, 1, "x", [], {}]),
+    ({"type": "integer"}, NEAR_INTEGERS),
+    ({"type": "integer", "minimum": 0}, NEAR_INTEGERS),
 ]
 
 
-def accepts(validate, instance) -> bool:
+def message(validate, instance):
+    """The violation message, or None for a valid instance."""
     try:
         validate(instance)
-    except jsonschema.ValidationError:
-        return False
-    return True
+    except jsonschema.ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def accepts(validate, instance) -> bool:
+    return message(validate, instance) is None
 
 
 @pytest.mark.parametrize("schema, instances", CASES, ids=str)
@@ -57,6 +73,17 @@ def test_agrees_with_jsonschema(schema, instances):
     for instance in instances:
         want = accepts(lambda v: jsonschema.validate(v, schema), instance)
         assert accepts(check, instance) == want, instance
+
+
+@pytest.mark.parametrize("schema", [{"type": "integer"}, {"type": "integer", "minimum": 0}],
+                         ids=str)
+def test_integer_leaf_messages(schema):
+    # an integer leaf compiles into one fused closure; a type list takes the
+    # keyword checks one by one, and both must say the same
+    fused = compile_schema(schema)
+    reference = compile_schema(dict(schema, type=["integer"]))
+    for value in NEAR_INTEGERS:
+        assert message(fused, value) == message(reference, value), value
 
 
 def test_error_names_the_failing_path():
