@@ -38,8 +38,11 @@ integers are constants) all call it, so the Pf(M)^2 = det(M) check of
 the witness ideals.  It works on the raw {key: coeff} dicts, adds each
 +-entry * sub-pfaffian straight into its running total, reads a two-index
 pfaffian straight off the matrix and looks each larger index set up in the
-memo before it recurses.  ``pfaffian_last_row`` expands along the last row
-with ``SparsePolynomial`` arithmetic and is kept as the cross-check.
+memo before it recurses.  ``pfaffian_last_row`` is the cross-check: the
+expansion along the last row unrolled into a signed sum over the perfect
+matchings of the index set, on the same dicts, with no memo and no code
+shared with ``_pf``.  Polynomials have no addition: ``*`` is their one
+arithmetic operation, and the witness ideals need no other.
 """
 
 from __future__ import annotations
@@ -92,25 +95,15 @@ class PolyRing:
         """The exponent vector of a key over this ring."""
         return self.layout.unpack(key.to_bytes(self.layout.size, "big"))[:-1]
 
-    def zero(self) -> "SparsePolynomial":
-        return _clean(self, {})
-
-    def one(self) -> "SparsePolynomial":
-        return self.const(1)
-
-    def const(self, c: int) -> "SparsePolynomial":
-        c = int(c)
-        return _clean(self, {0: c} if c else {})
-
     def var(self, name: str) -> "SparsePolynomial":
         return self.monomial(name, 1)
 
-    def monomial(self, name: str, power: int, coeff: int = 1) -> "SparsePolynomial":
+    def monomial(self, name: str, power: int) -> "SparsePolynomial":
         if name not in self.names:
             raise DomainError("input-error", f"unknown variable {name!r}")
         i = self.names.index(name)
         expo = tuple(power if k == i else 0 for k in range(len(self.names)))
-        return SparsePolynomial(self, {expo: coeff} if coeff else {})
+        return SparsePolynomial(self, {expo: 1})
 
 
 class SparsePolynomial:
@@ -149,47 +142,11 @@ class SparsePolynomial:
         degs = {k & FIELD_MASK for k in self.packed}
         return len(degs) == 1 and (d is None or degs <= {d})
 
-    def _coerce(self, other):
-        if isinstance(other, SparsePolynomial):
-            if other.ring is not self.ring and other.ring.names != self.ring.names:
-                raise DomainError("input-error", "polynomials over different rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.const(other)
-        return NotImplemented
-
-    def _combine(self, other, sign: int):
-        """self + sign * other, dropping the terms that cancel."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.packed)
-        for e, c in other.packed.items():
-            c = out.get(e, 0) + sign * c
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return _clean(self.ring, out)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return _clean(self.ring, {e: -c for e, c in self.packed.items()})
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, SparsePolynomial):
             return NotImplemented
+        if other.ring is not self.ring and other.ring.names != self.ring.names:
+            raise DomainError("input-error", "polynomials over different rings")
         out: dict = {}
         get = out.get
         for e1, c1 in self.packed.items():
@@ -198,11 +155,7 @@ class SparsePolynomial:
                 out[e] = get(e, 0) + c1 * c2
         return _clean(self.ring, _checked({e: c for e, c in out.items() if c}))
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         return self.ring.names == other.ring.names and self.packed == other.packed
@@ -275,11 +228,9 @@ class AlternatingMatrix:
     def entry(self, i: int, j: int) -> SparsePolynomial:
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise DomainError("input-error", f"index ({i}, {j}) out of range")
-        if i == j:
-            return self.ring.zero()
-        if i < j:
+        if i <= j:
             return _clean(self.ring, self.upper.get((i, j), {}))
-        return -_clean(self.ring, self.upper.get((j, i), {}))
+        return _clean(self.ring, {e: -c for e, c in self.upper.get((j, i), {}).items()})
 
     def pretty(self) -> str:
         cells = [[str(self.entry(i, j)) for j in range(1, self.size + 1)]
@@ -393,23 +344,26 @@ def _pf(upper: dict, idx: tuple, memo: dict) -> dict:
 
 
 def pfaffian_last_row(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
-    """Same pfaffian by expansion along the last row (implementation cross-check)."""
+    """Same pfaffian as a signed sum over perfect matchings: the expansion
+    along the last row, unrolled (implementation cross-check)."""
     idx = _check_subset(m, subset if subset is not None else range(1, m.size + 1))
+    total: dict = {}
 
-    def rec(ind: tuple[int, ...]) -> SparsePolynomial:
-        if not ind:
-            return m.ring.one()
-        last = ind[-1]
-        total = m.ring.zero()
-        for pos, other in enumerate(ind[:-1]):
-            entry = m.upper.get((other, last))
-            if entry is None:
-                continue
-            term = _clean(m.ring, entry) * rec(tuple(k for k in ind[:-1] if k != other))
-            total = total + term if pos % 2 == 0 else total - term
-        return total
+    def match(left: tuple, key: int, coeff: int):
+        # pair the last index left with the one at position pos, sign
+        # (-1)^pos; key stays clean, so each sum carries out of no field
+        if not left:
+            total[key] = total.get(key, 0) + coeff
+            return
+        rest = left[:-1]
+        for pos, other in enumerate(rest):
+            for e, c in m.upper.get((other, left[-1]), {}).items():
+                if (key + e) & GUARD:
+                    raise _overflow()
+                match(rest[:pos] + rest[pos + 1:], key + e, -coeff * c if pos % 2 else coeff * c)
 
-    return rec(idx)
+    match(idx, 0, 1)
+    return _clean(m.ring, {e: c for e, c in total.items() if c})
 
 
 def sub_pfaffians(m: AlternatingMatrix) -> list[SparsePolynomial]:

@@ -6,9 +6,11 @@ The check accepts and rejects what ``jsonschema.validate`` does under draft
 any other keyword or type name fails to compile, so a schema edit cannot be
 ignored silently.  An integer leaf schema (``type`` integer, with or
 without ``minimum``) is one closure that tests ``type(v) is int`` first and
-sends any other value through the same checks.  A violation raises
-``jsonschema.ValidationError`` whose message starts with the failing path.
-The tests hold this module to ``jsonschema.validate`` itself.
+sends any other value through the same checks; an array or object schema of
+that one type is one container check that also tests the type.  A
+violation raises ``jsonschema.ValidationError`` whose message starts with
+the failing path.  The tests hold this module to ``jsonschema.validate``
+itself.
 """
 
 from __future__ import annotations
@@ -57,7 +59,13 @@ def _checks(schema: dict):
         raise ValueError(f"unsupported schema keywords {sorted(schema.keys() - KEYWORDS)}")
     if schema.get("$schema", DRAFT) != DRAFT:
         raise ValueError(f"unsupported $schema {schema['$schema']!r}")
-    if "type" in schema:
+    is_array = schema.keys() & {"items", "minItems", "maxItems"}
+    is_object = schema.keys() & {"properties", "required", "additionalProperties"}
+    # an array or object check of its one type tests the type itself
+    kind = schema.get("type")
+    own_type = (kind in ("array", ["array"]) and is_array
+                or kind in ("object", ["object"]) and is_object)
+    if "type" in schema and not own_type:
         names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
         if not set(names) <= TYPES.keys():
             raise ValueError(f"unsupported type in {names}")
@@ -72,10 +80,12 @@ def _checks(schema: dict):
         members = schema["enum"]
         if not all(m is None or isinstance(m, (str, int, float)) for m in members):
             raise ValueError(f"unsupported enum {members}: scalars only")
+        strings = {m for m in members if isinstance(m, str)}
 
         def check_enum(v):   # True is not 1, but 1.0 is 1
-            if not any(v is m if isinstance(v, bool) or isinstance(m, bool) else v == m
-                       for m in members):
+            if not (v in strings if type(v) is str else any(
+                    v is m if isinstance(v, bool) or isinstance(m, bool) else v == m
+                    for m in members)):
                 raise _Invalid(v, f"is not one of {members}")
         yield check_enum
     if "minimum" in schema:
@@ -92,12 +102,14 @@ def _checks(schema: dict):
             if isinstance(v, str) and not regex.search(v):
                 raise _Invalid(v, f"does not match {regex.pattern!r}")
         yield check_pattern
-    if schema.keys() & {"items", "minItems", "maxItems"}:
+    if is_array:
         item = _compile(schema.get("items", True))
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
 
         def check_array(v):
             if not isinstance(v, list):
+                if own_type:
+                    raise _Invalid(v, "is not of type array")
                 return
             if not lo <= len(v) <= hi:
                 raise _Invalid(v, f"has {len(v)} items, not {lo} to {hi}")
@@ -108,13 +120,15 @@ def _checks(schema: dict):
                 exc.path.append(i)
                 raise
         yield check_array
-    if schema.keys() & {"properties", "required", "additionalProperties"}:
+    if is_object:
         props = {k: _compile(s) for k, s in schema.get("properties", {}).items()}
         other = _compile(schema.get("additionalProperties", True))
         required = schema.get("required", ())
 
         def check_object(v):
             if not isinstance(v, dict):
+                if own_type:
+                    raise _Invalid(v, "is not of type object")
                 return
             for key in required:
                 if key not in v:

@@ -273,23 +273,59 @@ def check_gaeta(max_a: int = 8) -> CheckResult:
     return f"a = 2..{max_a}, both ranges"
 
 
+@functools.lru_cache(maxsize=64)     # the default check sees 36 graphs
+def _perfect_matchings(size: int, pairs: tuple) -> tuple[int, ...]:
+    """For i = 1..size, the number of perfect matchings of the graph on
+    1..size with edges ``pairs`` once vertex i is deleted."""
+    adjacent = [0] * (size + 1)
+    for i, j in pairs:
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+
+    @functools.cache
+    def count(left: int) -> int:
+        # match the lowest vertex of the bitmask left with each neighbour in it
+        if not left:
+            return 1
+        low = left & -left
+        rest = left ^ low
+        partners = rest & adjacent[low.bit_length() - 1]
+        total = 0
+        while partners:
+            partner = partners & -partners
+            total += count(rest ^ partner)
+            partners ^= partner
+        return total
+
+    everyone = (1 << (size + 1)) - 2     # bits 1..size
+    return tuple(count(everyone ^ (1 << i)) for i in range(1, size + 1))
+
+
 @_check("pfaffian/sub-pfaffian-degrees")
 def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
     """Each sub-pfaffian p_i of Alt(delta) is homogeneous of degree d_i, for
     every sorted delta with integral theta, length <= max_len, entries <=
-    max_entry."""
-    cases = 0
+    max_entry.  Each entry of Alt(delta) is a power of its own variable, so
+    p_i has one term, with coefficient +-1, per perfect matching of the
+    support graph without i."""
+    cases = terms = 0
+    units = {1, -1}
     for length in range(3, max_len + 1, 2):
         n = (length - 1) // 2
         for degs in combinations_with_replacement(range(1, max_entry + 1), length):
             if sum(degs) % n:
                 continue
             m = pfaffians.alt_matrix(degs)
+            matchings = _perfect_matchings(m.size, tuple(m.upper))
             for i, p in enumerate(pfaffians.sub_pfaffians(m)):
                 if not p.is_homogeneous(degs[i]):
                     raise _Failed(f"deg p_{i + 1} != {degs[i]} for delta = {degs}")
+                if len(p.packed) != matchings[i] or not units.issuperset(p.packed.values()):
+                    raise _Failed(f"p_{i + 1} is not {matchings[i]} terms +-1 for delta = {degs}")
+            terms += sum(matchings)
             cases += 1
-    return f"{cases} degree sequences, length <= {max_len}, entries <= {max_entry}"
+    return (f"{cases} degree sequences, length <= {max_len}, entries <= {max_entry}, "
+            f"{terms} terms, one per perfect matching")
 
 
 def random_alternating(size: int, rng: random.Random, bound: int = 9):

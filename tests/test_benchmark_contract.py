@@ -2,9 +2,11 @@
 
 The traced replay wraps functions by name (``benchmarks/tracing.py``), and
 the import probe of ``benchmarks/run.py`` reads the ``-X importtime`` line of
-``jsonschema`` under ``import aci3.cli``.  Renaming a traced function or no
-longer importing jsonschema at start-up breaks the benchmark run; these
-tests make either show up in the test suite first.
+``jsonschema`` under ``import aci3.cli``, and the output checks of
+``benchmarks/checks.py`` expect a fixed number of checks per ``verify``
+scope.  Renaming a traced function, no longer importing jsonschema at
+start-up or changing the number of checks breaks the benchmark run; these
+tests make each show up in the test suite first.
 """
 
 import importlib.util
@@ -19,16 +21,30 @@ from aci3 import koszul, monomials, verify
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracing():
+def _load(name):
+    """``benchmarks/<name>.py`` as a module, loaded with ``benchmarks/`` on
+    sys.path for its imports of its neighbours (``checks`` imports ``workloads``)."""
     spec = importlib.util.spec_from_file_location(
-        "benchmark_tracing", ROOT / "benchmarks" / "tracing.py")
+        f"benchmark_{name}", ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
     return module
 
 
+def test_benchmark_check_counts_follow_the_plan():
+    # checks.py refuses a verify payload whose scope has another number of
+    # checks than it expects, so a new or deleted check must land there too
+    expected = _load("checks").VERIFY_CHECKS
+    assert expected == dict({scope: len(verify._PLAN[scope]) for scope in verify.SCOPES},
+                            all=sum(len(plan) for plan in verify._PLAN.values()))
+
+
 def test_tracer_installs_and_removes():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     original = koszul.betti_numbers
     tracer = tracing.Tracer()
     try:
@@ -46,7 +62,7 @@ def test_package_names_follow_the_tracer():
     # aci3.<name> is looked up in its module on each use, never cached
     import aci3
 
-    tracer = _load_tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     try:
         tracer.install()
         assert aci3.betti_numbers is koszul.betti_numbers
@@ -58,7 +74,7 @@ def test_package_names_follow_the_tracer():
 
 def test_tracer_spans_the_checks_verify_runs():
     # verify.* per-scope times come from the spans of the check_* functions
-    tracer = _load_tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     try:
         tracer.install()
         assert verify.verify_suite("gaeta").passed
@@ -70,7 +86,7 @@ def test_tracer_spans_the_checks_verify_runs():
 def test_tracer_spans_the_pfaffian_scope():
     # pfaffians.* metrics come from the spans of the wrapped pfaffian
     # functions and from len(p.terms) of what sub_pfaffians returns
-    tracer = _load_tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     try:
         tracer.install()
         assert verify.verify_suite("pfaffian").passed
@@ -88,7 +104,7 @@ def test_tracer_spans_the_handler_a_route_runs(capsys):
     # a route must look its handler up by name when it runs
     from aci3 import cli
 
-    tracer = _load_tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     try:
         tracer.install()
         assert cli.main(["classify", "tmax", "--a", "4"]) == 0

@@ -4,7 +4,7 @@
 import jsonschema
 import pytest
 
-from aci3.schemacheck import compile_schema
+from aci3.schemacheck import _checks, compile_schema
 
 DRAFT = "https://json-schema.org/draft/2020-12/schema"
 
@@ -50,6 +50,11 @@ CASES = [
     ({}, [None, 1, "x", [], {}]),
     ({"type": "integer"}, NEAR_INTEGERS),
     ({"type": "integer", "minimum": 0}, NEAR_INTEGERS),
+    ({"type": "array", "items": {"type": "integer"}}, [[1], [], "ab", {}, None, [1.5]]),
+    ({"type": ["array"], "maxItems": 1}, [[1], [1, 2], (1,), "a"]),
+    ({"type": "object", "required": ["a"]}, [{"a": 1}, {}, [], "a", None]),
+    ({"type": ["array", "null"], "items": {"minimum": 0}}, [None, [0], [-1], "x"]),
+    ({"enum": ["a", 1, None]}, ["a", "b", 1, 1.0, True, None, ""]),
 ]
 
 
@@ -84,6 +89,26 @@ def test_integer_leaf_messages(schema):
     reference = compile_schema(dict(schema, type=["integer"]))
     for value in NEAR_INTEGERS:
         assert message(fused, value) == message(reference, value), value
+
+
+@pytest.mark.parametrize("schema, value, reason", [
+    ({"type": "array", "items": {"type": "integer"}}, {"a": 1}, "is not of type array"),
+    ({"type": "object", "required": ["a"]}, [1], "is not of type object"),
+    ({"type": ["array", "null"], "items": {}}, "x", "is not of type array or null"),
+], ids=str)
+def test_container_type_messages(schema, value, reason):
+    # an array or object schema of one type tests the type in its container check
+    assert message(compile_schema(schema), value).endswith(f" {reason}")
+
+
+@pytest.mark.parametrize("schema, checks", [
+    ({"type": "array", "items": {}}, ["check_array"]),
+    ({"type": "object", "required": []}, ["check_object"]),
+    ({"type": ["array", "null"], "items": {}}, ["check_type", "check_array"]),
+    ({"type": "array"}, ["check_type"]),
+], ids=str)
+def test_one_type_test_per_container(schema, checks):
+    assert [check.__name__ for check in _checks(schema)] == checks
 
 
 def test_error_names_the_failing_path():

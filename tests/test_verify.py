@@ -28,18 +28,34 @@ BROKEN = [
     (verify.check_gaeta, "gaeta/delta-builders",
      classify, "gaeta_check", lambda delta: classify.GaetaResult(False, "broken")),
     (verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
-     pfaffians, "sub_pfaffians", lambda m: [m.ring.one()] * m.size),
+     pfaffians, "sub_pfaffians", lambda m: [_constant(m, 1)] * m.size),
     (verify.check_pf_squared, "pfaffian/pf-squared-equals-det",
      pfaffians, "pf_squared_equals_det", lambda mat: False),
     (verify.check_witness_degrees, "pfaffian/witness-ideals",
-     pfaffians, "sub_pfaffians", lambda m: [m.ring.zero()] * m.size),
+     pfaffians, "sub_pfaffians", lambda m: [_constant(m, 0)] * m.size),
     (verify.check_cas_scripts, "cas/scripts",
      cas, "script_is_balanced", lambda text: False),
 ]
+# further wrong answers that a check must also see, each under its own id
+ALSO_BROKEN = {
+    # about half of the sub-pfaffians it expands are zero, so it has to count terms
+    "pfaffian/sub-pfaffian-degrees-zeros": (
+        verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
+        pfaffians, "sub_pfaffians", lambda m: [_constant(m, 0)] * m.size),
+    "pfaffian/sub-pfaffian-degrees-doubled": (
+        verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
+        pfaffians, "sub_pfaffians",
+        lambda m, original=pfaffians.sub_pfaffians: [_constant(m, 2) * p for p in original(m)]),
+}
 
 
-@pytest.mark.parametrize("check, name, module, attr, wrong", BROKEN,
-                         ids=[case[1] for case in BROKEN])
+def _constant(m, c):
+    return pfaffians.SparsePolynomial(m.ring, {(0,) * len(m.ring.names): c})
+
+
+@pytest.mark.parametrize("check, name, module, attr, wrong",
+                         BROKEN + list(ALSO_BROKEN.values()),
+                         ids=[case[1] for case in BROKEN] + list(ALSO_BROKEN))
 def test_check_reports_failure(monkeypatch, check, name, module, attr, wrong):
     assert check().ok
     monkeypatch.setattr(module, attr, wrong)
@@ -134,7 +150,8 @@ def test_pfaffian_degree_check_covers_every_sequence():
     # the detail pins how many sequences the check expands
     result = verify.check_pfaffian_degrees()
     assert result.ok
-    assert result.detail == "1656 degree sequences, length <= 7, entries <= 8"
+    assert result.detail == ("1656 degree sequences, length <= 7, entries <= 8, "
+                             "24378 terms, one per perfect matching")
 
 
 def test_cli_verify_exits_1_on_failure(monkeypatch, capsys):
