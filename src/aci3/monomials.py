@@ -13,7 +13,7 @@ admissible window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from operator import le
 
@@ -167,26 +167,36 @@ def _pure_power_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-def standard_monomials(ideal: MonomialIdeal) -> list[list[Monomial]]:
-    """Monomials outside the ideal, bucketed by degree (requires artinian),
-    each bucket in ascending lexicographic order.
+def _staircase(ideal: MonomialIdeal):
+    """The top degree of the exponent box below the pure powers (requires
+    artinian), and an iterator over its columns: (head, height) for each
+    head (all exponents but the last) in the box, the monomials head + (e,)
+    with e < height being exactly the standard ones.
 
-    The staircase is read column by column: for each head (all exponents
-    but the last) in the box below the pure powers, the last exponent runs
-    up to the least last exponent of the generators whose head divides it,
-    so no monomial is tested against the generators.  Boxes of more than
-    ``MAX_STANDARD_BOX`` monomials are too-large.
+    The height is the least last exponent of the generators whose head
+    divides this one, so no monomial is tested against the generators.
+    Boxes of more than ``MAX_STANDARD_BOX`` monomials are too-large,
+    refused before any column is read.
     """
     bounds = _pure_power_bounds(ideal)
     box = prod(bounds)
     if box > MAX_STANDARD_BOX:
         raise DomainError("too-large", f"exponent box of {box} monomials too large "
                                        f"(more than {MAX_STANDARD_BOX})")
-    top = sum(b - 1 for b in bounds)
-    buckets: list[list[Monomial]] = [[] for _ in range(top + 1)]
     columns = [(g[:-1], g[-1]) for g in ideal.gens]
-    for head in product(*(range(b) for b in bounds[:-1])):
-        height = min([last for gen_head, last in columns if divides(gen_head, head)])
+    heads = product(*(range(b) for b in bounds[:-1]))
+    return sum(b - 1 for b in bounds), (
+        (head, min([last for gen_head, last in columns if divides(gen_head, head)]))
+        for head in heads)
+
+
+def standard_monomials(ideal: MonomialIdeal) -> list[list[Monomial]]:
+    """Monomials outside the ideal, bucketed by degree (requires artinian),
+    each bucket in ascending lexicographic order, read off the staircase
+    column by column (``_staircase``)."""
+    top, columns = _staircase(ideal)
+    buckets: list[list[Monomial]] = [[] for _ in range(top + 1)]
+    for head, height in columns:
         base = sum(head)
         for e in range(height):
             buckets[base + e].append(head + (e,))
@@ -196,8 +206,19 @@ def standard_monomials(ideal: MonomialIdeal) -> list[list[Monomial]]:
 
 
 def hilbert_function(ideal: MonomialIdeal) -> HilbertFunction:
-    """Hilbert function of the quotient by an artinian monomial ideal."""
-    return HilbertFunction(tuple(len(b) for b in standard_monomials(ideal)))
+    """Hilbert function of the quotient by an artinian monomial ideal: a
+    column of height h over a head of degree b adds one to the degrees b ..
+    b + h - 1, summed as a difference array."""
+    top, columns = _staircase(ideal)
+    steps = [0] * (top + 2)
+    for head, height in columns:
+        base = sum(head)
+        steps[base] += 1
+        steps[base + height] -= 1
+    values = list(accumulate(steps))
+    while values and not values[-1]:
+        values.pop()
+    return HilbertFunction(tuple(values))
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

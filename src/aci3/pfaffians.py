@@ -31,9 +31,21 @@ homogeneous of degree exactly d_i.  ``alt_matrix`` refuses entries above
 exponent and degree of Alt(delta) and of its pfaffians is at most
 sum(delta) <= 9 * 3640 <= ``MAX_EXPONENT``.
 
-One memoised first-row expansion, ``_pf``, serves polynomial and integer
-matrices alike: ``pfaffian``, ``sub_pfaffians`` and ``pfaffian_int`` (whose
-integers are constants) all call it, so the Pf(M)^2 = det(M) check of
+A pfaffian is a polynomial in the matrix entries, so it commutes with ring
+maps: Alt(delta) is the generic alternating matrix on its support graph
+(one fresh variable per entry with theta - d_i - d_j > 0) under x_ij ->
+x_ij^(theta - d_i - d_j).  ``_plan`` expands the generic pfaffians once per
+support graph, memoised by matrix size and pairs, and ``pfaffian`` and
+``sub_pfaffians`` substitute the entries into them (``_specialize``).  The
+substitution is exact term for term: every exponent is positive and
+distinct perfect matchings use distinct variables, so no two terms meet.
+Any entries that are single terms (a coefficient times a monomial)
+substitute the same way, adding the coefficients of terms that meet;
+an entry of two or more terms is refused.
+
+One memoised first-row expansion, ``_pf``, serves the generic matrices and
+integer ones alike: the plans and ``pfaffian_int`` (whose integers are
+constants) both call it, so the Pf(M)^2 = det(M) check of
 ``pf_squared_equals_det`` tests the expansion behind the sub-pfaffians and
 the witness ideals.  It works on the raw {key: coeff} dicts, adds each
 +-entry * sub-pfaffian straight into its running total, reads a two-index
@@ -215,7 +227,9 @@ class AlternatingMatrix:
 
     Indices are 1-based, matching the usual display; ``entry_degrees`` holds
     the expected degree theta - d_i - d_j of each upper entry (which may be
-    <= 0, in which case the entry is zero).
+    <= 0, in which case the entry is zero).  Each entry of ``upper`` is a
+    single term, as ``alt_matrix`` builds it; the pfaffians refuse any
+    other.
     """
 
     delta: tuple[int, ...]
@@ -295,9 +309,72 @@ def _check_subset(m: AlternatingMatrix, subset) -> tuple[int, ...]:
 
 def pfaffian(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
     """Pfaffian of the principal submatrix on an even index subset
-    (default: everything), by recursive expansion along the first row."""
+    (default: everything): the generic pfaffian of m's support graph,
+    specialized to m's entries."""
     idx = _check_subset(m, subset if subset is not None else range(1, m.size + 1))
-    return _clean(m.ring, _pf(m.upper, idx, {}))
+    return _specialize(m, (idx,))[0]
+
+
+@lru_cache(maxsize=64)     # the sub-pfaffian degree check sees 36 support graphs
+def _plan(size: int, pairs: tuple):
+    """The pfaffians of the generic alternating matrix on the graph over
+    1..size with edges ``pairs``: a function from an index tuple to its
+    terms, each the slots in ``pairs`` of the entries it multiplies, with
+    its coefficient +-1.
+
+    The entry in slot k is a variable of its own: a 1 in field k + 1 of the
+    key, above the degree field, which stays 0 and so never sets a guard
+    bit.  Each key of ``_pf``'s expansion then holds the pairs of one
+    perfect matching.  One memo serves every index set of the graph.
+    """
+    unit = {ij: {1 << FIELD_BITS * k: 1} for k, ij in enumerate(pairs, 1)}
+    fields = tuple(enumerate(1 << FIELD_BITS * k for k in range(1, len(pairs) + 1)))
+    memo: dict = {}
+
+    @lru_cache(maxsize=None)
+    def terms(idx: tuple) -> tuple:
+        return tuple((tuple(k for k, bit in fields if key & bit), c)
+                     for key, c in _pf(unit, idx, memo).items())
+
+    return terms
+
+
+def _specialize(m: AlternatingMatrix, index_sets) -> list[SparsePolynomial]:
+    """The pfaffians of m on each index tuple, by the substitution x_ij ->
+    a_ij into the generic pfaffians of m's support graph (``_plan``).
+
+    The substitution is a ring map, so it commutes with the pfaffian; each
+    entry must be one term.  A term of a pfaffian on 2k indices adds k entry
+    keys, and once their degrees can sum past ``MAX_EXPONENT`` each term's
+    degree sum is tested, since a sum of three or more keys can carry past
+    a field and clear its guard bit again.
+    """
+    terms_of = _plan(m.size, tuple(m.upper))
+    keys, coeffs = [], []
+    for ij, entry in m.upper.items():
+        if len(entry) != 1:
+            raise DomainError("input-error", f"entry {ij} is not a single term")
+        (key, c), = entry.items()
+        keys.append(key)
+        coeffs.append(c)
+    top = max((key & FIELD_MASK for key in keys), default=0)
+    out = []
+    for idx in index_sets:
+        checked = top * (len(idx) // 2) > MAX_EXPONENT
+        total: dict = {}
+        get = total.get
+        for slots, c in terms_of(idx):
+            key = 0
+            for s in slots:
+                key += keys[s]
+                c *= coeffs[s]
+            if checked and sum(keys[s] & FIELD_MASK for s in slots) > MAX_EXPONENT:
+                raise _overflow()
+            total[key] = get(key, 0) + c
+        if 0 in total.values():
+            total = {e: c for e, c in total.items() if c}
+        out.append(_clean(m.ring, total))
+    return out
 
 
 def _pf(upper: dict, idx: tuple, memo: dict) -> dict:
@@ -371,12 +448,8 @@ def sub_pfaffians(m: AlternatingMatrix) -> list[SparsePolynomial]:
     matrix must have odd size.  Each p_i is homogeneous of degree d_i."""
     if m.size % 2 == 0:
         raise DomainError("input-error", f"need odd size, got {m.size}")
-    memo = {}
     full = tuple(range(1, m.size + 1))
-    return [
-        _clean(m.ring, _pf(m.upper, full[:i] + full[i + 1:], memo))
-        for i in range(m.size)
-    ]
+    return _specialize(m, [full[:i] + full[i + 1:] for i in range(m.size)])
 
 
 def pfaffian_int(mat) -> int:

@@ -9,6 +9,10 @@ To declare a check, decorate it with ``@_check("<scope>/<name>")``: the body
 returns the detail line of a pass or raises ``_Failed(detail)``, and the
 decorator makes either a :class:`CheckResult`.  Then list it under its scope
 in ``_PLAN``, mapping ``max_degree`` and ``max_a`` onto its own bounds.
+
+A ``verify`` process runs one scope, so each check imports the kernel
+modules it calls in its own body and calls them through the module, where a
+tracer or a test stub can replace them.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import TYPE_CHECKING
 
-from . import cas, classify, koszul, liaison, monomials, pfaffians
-from .classify import EVEN, ODD
 from .errors import DomainError
 from .hilbert import BettiTable, ci_hilbert, hilbert_from_betti
+
+if TYPE_CHECKING:
+    from . import classify
 
 # Scope -> its checks, in run order.  An entry looks its check up by name when
 # it runs, so a replaced module attribute (a tracer, a test stub) is what runs.
@@ -100,6 +106,7 @@ def _sorted_triples(lo: int, hi: int):
 def check_aci_hilbert(max_degree: int = 5) -> CheckResult:
     """The monomial almost complete intersection has the complete
     intersection's Hilbert function, for every degree triple and admissible h."""
+    from . import monomials
     cases = 0
     for degs in _sorted_triples(2, max_degree):
         expected = ci_hilbert(degs)
@@ -116,6 +123,7 @@ def check_colon_link(max_degree: int = 5) -> CheckResult:
     """The colon of the pure-power complete intersection by the monomial ACI
     is a monomial complete intersection of type (h - a3, a1, a2), and the
     Hilbert-function link reproduces its Hilbert function."""
+    from . import liaison, monomials
     cases = 0
     for degs in _sorted_triples(2, max_degree):
         a1, a2, a3 = degs
@@ -139,6 +147,7 @@ def check_colon_link(max_degree: int = 5) -> CheckResult:
 def check_rigid_resolution(max_a: int = 5) -> CheckResult:
     """The Koszul-homology oracle on (x^a, y^(a+1), z^a, x^(a-1)y) returns
     exactly the rigid h = a + 1 table, for a = 2..max_a."""
+    from . import koszul, monomials
     for a in range(2, max_a + 1):
         expected = BettiTable(3, (
             (0,),
@@ -154,6 +163,7 @@ def check_rigid_resolution(max_a: int = 5) -> CheckResult:
 
 def _coherence_failure(a: int, h: int, node: classify.AciTable, expected) -> str | None:
     """The first law of check_classification_coherence that the node breaks."""
+    from . import classify
     levels = node.table.levels
     if hilbert_from_betti(node.table) != expected:
         return "Hilbert mismatch"
@@ -185,6 +195,7 @@ def check_classification_coherence(max_a: int = 6) -> CheckResult:
     level 3 is fixed under j -> 3a+h-j; a+h sits at level 2 iff t is even
     (multiplicity one at levels 2 and 3); h >= 2a forces odd t; and d* is a
     for even t, h for odd t."""
+    from . import classify
     tables = 0
     for a in range(2, max_a + 1):
         expected = ci_hilbert((a, a, a))
@@ -202,6 +213,7 @@ def check_classification_coherence(max_a: int = 6) -> CheckResult:
 def check_t_max(max_a: int = 8) -> CheckResult:
     """max t over the tables enumerated at h = 2a equals a+1 for even a and
     a for odd a; for even a this is also the maximum over every h."""
+    from . import classify
     for a in range(2, max_a + 1):
         at_2a = max(node.t for node in classify.enumerate_tables(a, 2 * a).nodes)
         if at_2a != classify.t_max(a):
@@ -219,13 +231,15 @@ def check_t_max(max_a: int = 8) -> CheckResult:
 def check_ah_cancellation(max_a: int = 6) -> CheckResult:
     """cancel_ah succeeds on an even-family table iff t >= 4, and its output
     is the odd-family table obtained by the same couple cancellations."""
+    from . import classify
     cases = 0
     for a in range(2, max_a + 1):
         for h in range(a + 1, 2 * a):
             poset = classify.enumerate_tables(a, h)
-            odd_levels = {node.table.levels for node in poset.nodes if node.parity == ODD}
+            odd_levels = {node.table.levels for node in poset.nodes
+                          if node.parity == classify.ODD}
             for node in poset.nodes:
-                if node.parity != EVEN:
+                if node.parity != classify.EVEN:
                     continue
                 if node.t >= 4:
                     got = classify.cancel_ah(node)
@@ -246,6 +260,7 @@ def check_ah_cancellation(max_a: int = 6) -> CheckResult:
 @_check("liaison/ci-link-identity")
 def check_ci_link_identity(max_a: int = 8) -> CheckResult:
     """H_CI(a,a,h)(n) - H_CI(a,a,a)(2a+h-3-n) = H_CI(h-a,a,a)(n) throughout."""
+    from . import liaison
     cases = 0
     for a in range(2, max_a + 1):
         for h in range(a + 1, 3 * a - 1):
@@ -259,6 +274,7 @@ def check_ci_link_identity(max_a: int = 8) -> CheckResult:
 def check_gaeta(max_a: int = 8) -> CheckResult:
     """Both delta builders pass the Gaeta conditions over their full ranges;
     the known good sequence passes and a constructed violator fails."""
+    from . import classify
     for a in range(2, max_a + 1):
         for h in range(a + 1, 2 * a):
             if not classify.gaeta_check(classify.delta_low(a, h)).ok:
@@ -308,6 +324,7 @@ def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
     max_entry.  Each entry of Alt(delta) is a power of its own variable, so
     p_i has one term, with coefficient +-1, per perfect matching of the
     support graph without i."""
+    from . import pfaffians
     cases = terms = 0
     units = {1, -1}
     for length in range(3, max_len + 1, 2):
@@ -342,6 +359,7 @@ def random_alternating(size: int, rng: random.Random, bound: int = 9):
 def check_pf_squared(trials: int = 100) -> CheckResult:
     """Pf(M)^2 = det(M) on random integer alternating specializations of
     sizes 2, 4, 6 (det from the independent Bareiss routine)."""
+    from . import pfaffians
     rng = random.Random(0)
     for size in (2, 4, 6):
         for _ in range(trials):
@@ -355,6 +373,7 @@ def check_pf_squared(trials: int = 100) -> CheckResult:
 def check_witness_degrees() -> CheckResult:
     """Both witness ideals for (a, h) = (3, 5) have generator degrees sorting
     to (3, 3, 3, 5), matching level 1 of their tables."""
+    from . import pfaffians
     w = pfaffians.witness_ideals_a3_h5()
     if any(p.is_zero for p in w.iq + w.iw):
         raise _Failed("zero generator")
@@ -369,6 +388,7 @@ def check_witness_degrees() -> CheckResult:
 def check_cas_scripts() -> CheckResult:
     """Exported scripts are nonempty, structurally parse-clean, and
     byte-stable across repeated generation."""
+    from . import cas, monomials
     monomial_payload = {"ideal": monomials.aci_construction((2, 2, 3), 4).to_json()}
     for kind, payload in (("pfaffian-q", {}), ("pfaffian-w", {}), ("monomial", monomial_payload)):
         first = cas.export_cas(kind, payload)

@@ -277,7 +277,7 @@ class TestInputErrors:
         assert err["code"] == "internal-error"
         assert err["message"].startswith(exc_name + ": ")
 
-    def test_pfaffian_sub_checks_i_before_expanding(self, monkeypatch, capsys):
+    def test_pfaffian_sub_checks_i_before_expanding(self, fresh_plans, monkeypatch, capsys):
         def no_expansion(*args):
             raise AssertionError("expanded before checking --i")
         monkeypatch.setattr(pfaffians, "_pf", no_expansion)
@@ -454,6 +454,15 @@ class TestImportGraph:
     def test_only_verify_loads_verify(self, tmp_path):
         _, after = probe([argv for argv in TOUR if argv[0] != "verify"], tmp_path)
         assert "aci3.verify" not in after
+
+    @pytest.mark.parametrize("scope, unloaded", [
+        ("classification", {"aci3.pfaffians", "aci3.koszul", "aci3.monomials"}),
+        ("pfaffian", {"aci3.koszul", "aci3.liaison", "aci3.cas"}),
+    ])
+    def test_verify_loads_the_kernels_of_its_scope(self, scope, unloaded, tmp_path):
+        _, after = probe([["verify", "--scope", scope, "--max-a", "2"]], tmp_path)
+        assert "aci3.verify" in after
+        assert not unloaded & set(after)
 
 
 # Small bounded values for integer and integer-list flags; --flag=value

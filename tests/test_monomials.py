@@ -131,9 +131,16 @@ class TestHilbertFunction:
         # the exponent box below the pure powers may hold 10^4 monomials
         assert MAX_STANDARD_BOX == 10_000
         assert hilbert_function(MonomialIdeal(2, ((100, 0), (0, 100)))).total() == 10_000
-        with pytest.raises(DomainError, match="too large") as exc:
-            standard_monomials(MonomialIdeal(2, ((73, 0), (0, 137))))   # 10^4 + 1
-        assert exc.value.code == "too-large"
+        for walk in (standard_monomials, hilbert_function):
+            with pytest.raises(DomainError, match="too large") as exc:
+                walk(MonomialIdeal(2, ((73, 0), (0, 137))))   # 10^4 + 1
+            assert exc.value.code == "too-large"
+
+    @given(artinian_ideals())
+    def test_counts_the_standard_monomials(self, case):
+        # hilbert_function counts the columns that standard_monomials lists
+        ideal, _ = case
+        assert hilbert_function(ideal).values == tuple(map(len, standard_monomials(ideal)))
 
     def test_non_artinian_rejected(self):
         with pytest.raises(DomainError, match="artinian"):

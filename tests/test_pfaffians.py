@@ -340,8 +340,9 @@ class TestPfaffianIntSign:
 
 @st.composite
 def gorenstein_deltas(draw):
-    """Sorted sequences of length 3, 5 or 7 with entries 1..8 and integral theta."""
-    length = draw(st.sampled_from((3, 5, 7)))
+    """Sorted sequences of length 3, 5, 7 or 9 (``MAX_SIZE``) with entries
+    1..8 and integral theta."""
+    length = draw(st.sampled_from((3, 5, 7, pfaffians.MAX_SIZE)))
     degs = sorted(draw(st.lists(st.integers(1, 8), min_size=length, max_size=length)))
     n = (length - 1) // 2
     degs[-1] += -sum(degs) % n     # raise the top entry to the next multiple
@@ -422,17 +423,89 @@ class TestSubPfaffiansAgainstLastRow:
                 cases += 1
         assert cases == 1656
 
+    def test_nine_indices(self):
+        # Alt(4, ..., 4) has every entry x_ij, so p_i has the 105 perfect
+        # matchings of 8 indices: a plan the degree check never builds
+        m = alt_matrix((4,) * 9)
+        full = range(1, 10)
+        subs = sub_pfaffians(m)
+        assert subs == [pfaffian_last_row(m, [k for k in full if k != i]) for i in full]
+        assert [len(p.packed) for p in subs] == [105] * 9
+
     def test_overflow_refused_by_both(self):
         # six indices, every entry of degree 30000: a product of two entries
         # overflows, and the sum of three keys would carry past the degree
         # field and clear its guard bit again
+        self.assert_refused(30000)
+
+    def test_overflow_of_three_entries_refused(self):
+        # every entry of degree 12000: two entries fit, three do not
+        self.assert_refused(12000)
+
+    @staticmethod
+    def assert_refused(degree):
         m = alt_matrix((1, 1, 1, 1, 1, 1, 3))    # x_ij for i < j <= 6
-        big = {ij: {key * 30000: 1} for ij, entry in m.upper.items() for key in entry}
+        big = {ij: {key * degree: 1} for ij, entry in m.upper.items() for key in entry}
         m = pfaffians.AlternatingMatrix(m.delta, m.theta, 7, m.ring, big, m.entry_degrees)
-        for expand in (pfaffian, pfaffian_last_row):
+        for expand in (lambda: pfaffian(m, range(1, 7)),
+                       lambda: pfaffian_last_row(m, range(1, 7)),
+                       lambda: sub_pfaffians(m)):      # p_7 is the pfaffian on 1..6
             with pytest.raises(DomainError) as exc:
-                expand(m, range(1, 7))
+                expand()
             assert exc.value.code == "too-large"
+
+
+def _hand_built(m, entries):
+    """m with the given upper entries, as {(i, j): {exponents: coeff}}."""
+    upper = {ij: {m.ring.pack(e): c for e, c in entry.items()} for ij, entry in entries.items()}
+    return pfaffians.AlternatingMatrix(m.delta, m.theta, m.size, m.ring, upper, m.entry_degrees)
+
+
+class TestHandBuiltEntries:
+    # alt_matrix makes each entry a power of its own variable with
+    # coefficient 1; any single-term entries must give the same pfaffians
+    # as the cross-check, coefficients and colliding monomials included
+
+    @given(st.data())
+    def test_single_terms_match_the_last_row(self, data):
+        m = alt_matrix((4,) * 5)        # every x_ij, so any pair may hold an entry
+        n = len(m.ring.names)
+        entries = data.draw(st.dictionaries(
+            st.sampled_from(sorted(m.upper)),
+            st.tuples(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                      st.integers(-3, 3).filter(bool)).map(lambda t: {tuple(t[0]): t[1]})))
+        h = _hand_built(m, entries)
+        full = range(1, 6)
+        assert sub_pfaffians(h) == [pfaffian_last_row(h, [k for k in full if k != i])
+                                    for i in full]
+        assert pfaffian(h, (1, 2, 3, 4)) == pfaffian_last_row(h, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("values", [
+        (3, -1, 4, 1, -5, 9, 2, -6, 5, 3),      # Pf = -29 on 1..4
+        (2, 1, 1, 7, -1, 1, 7, 1, 7, 7),        # Pf = 0: the three matchings cancel
+    ])
+    def test_constant_entries_give_the_integer_pfaffian(self, values):
+        # every entry a constant: the matchings collide on the key 0 and
+        # their coefficients add up to the pfaffian of the integer matrix
+        m = alt_matrix((4,) * 5)
+        one = (0,) * len(m.ring.names)
+        h = _hand_built(m, {ij: {one: v} for ij, v in zip(sorted(m.upper), values)})
+        mat = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(sorted(m.upper), values):
+            if j <= 4:
+                mat[i - 1][j - 1], mat[j - 1][i - 1] = v, -v
+        pf = pfaffian_int(mat)
+        assert pfaffian(h, range(1, 5)).packed == ({0: pf} if pf else {})
+
+    def test_entry_of_two_terms_refused(self):
+        m = alt_matrix((2, 3, 3, 4, 4))
+        x12 = (1,) + (0,) * (len(m.ring.names) - 1)
+        x13 = (0, 1) + (0,) * (len(m.ring.names) - 2)
+        h = _hand_built(m, {(1, 2): {x12: 1, x13: 1}, (3, 4): {x13: 1}})
+        for expand in (lambda: pfaffian(h, (1, 2, 3, 4)), lambda: sub_pfaffians(h)):
+            with pytest.raises(DomainError) as exc:
+                expand()
+            assert exc.value.code == "input-error"
 
 
 class TestWitnessIdeals:

@@ -129,12 +129,14 @@ def test_plan_keeps_the_scope_bounds(monkeypatch):
                     "check_ah_cancellation": 4, "check_gaeta": 8}
 
 
-def test_pf_squared_checks_the_shared_expansion(monkeypatch):
+def test_pf_squared_checks_the_shared_expansion(fresh_plans, monkeypatch):
     # pfaffian_int runs on the expansion behind pfaffian and sub_pfaffians:
-    # adding one to the constant term of every expansion breaks both
+    # adding one to the constant term of every expansion breaks both (the
+    # expected p_i come from the cross-check, so no plan is built unstubbed)
     original = pfaffians._pf
     m = pfaffians.alt_matrix((2, 3, 3, 4, 4))
-    expected = pfaffians.sub_pfaffians(m)
+    expected = [pfaffians.pfaffian_last_row(m, [k for k in range(1, 6) if k != i])
+                for i in range(1, 6)]
 
     def off_by_one(upper, idx, memo):
         out = dict(original(upper, idx, memo))
@@ -144,6 +146,31 @@ def test_pf_squared_checks_the_shared_expansion(monkeypatch):
     monkeypatch.setattr(pfaffians, "_pf", off_by_one)
     assert verify.check_pf_squared().ok is False
     assert pfaffians.sub_pfaffians(m) != expected
+
+
+def test_no_expansion_fails_every_pfaffian_check(fresh_plans, monkeypatch):
+    # an expansion that finds no term leaves every pfaffian zero
+    monkeypatch.setattr(pfaffians, "_pf", lambda upper, idx, memo: {})
+    for check in (verify.check_pfaffian_degrees, verify.check_pf_squared,
+                  verify.check_witness_degrees):
+        assert check().ok is False, check
+
+
+def test_pfaffian_degree_check_expands_each_support_graph_once(fresh_plans, monkeypatch):
+    # 1656 matrices, 36 support graphs: one plan per graph, and _pf expands
+    # only the generic matrices (27,341 calls when it expanded every matrix)
+    calls = 0
+    original = pfaffians._pf
+
+    def counted(upper, idx, memo):
+        nonlocal calls
+        calls += 1
+        return original(upper, idx, memo)
+
+    monkeypatch.setattr(pfaffians, "_pf", counted)
+    assert verify.check_pfaffian_degrees().ok
+    assert pfaffians._plan.cache_info().currsize == 36
+    assert calls < 1000
 
 
 def test_pfaffian_degree_check_covers_every_sequence():
