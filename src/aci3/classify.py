@@ -38,6 +38,7 @@ EVEN = "even"
 ODD = "odd"
 
 MAX_POSET_NODES = 4095
+MAX_LINK_DEGREES = 10 ** 4
 
 
 def _check_at_least_2(value: int, name: str) -> None:
@@ -371,15 +372,19 @@ def t_max(a: int) -> int:
 
 def _link_delta(a: int, h: int, lo: int, hi: int) -> GorensteinDelta:
     """(a, a, h-a) and the degrees strictly between max(a, h-a) and
-    min(h, 2a), with (a+h)/2 doubled when h - a is even; lo <= h <= hi is
-    checked before any list is built."""
+    min(h, 2a), with (a+h)/2 doubled when h - a is even; lo <= h <= hi, and
+    a length of at most ``MAX_LINK_DEGREES``, are checked before any list
+    is built."""
     _check_at_least_2(a, "a")
     if not lo <= h <= hi:
         raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
-    degs = [a, a, h - a] + list(range(max(a, h - a) + 1, min(h, 2 * a)))
-    if (h - a) % 2 == 0:
-        degs.append((a + h) // 2)
-    return GorensteinDelta(tuple(sorted(degs)))
+    between = range(max(a, h - a) + 1, min(h, 2 * a))
+    doubled = [(a + h) // 2] if (h - a) % 2 == 0 else []
+    length = 3 + len(between) + len(doubled)
+    if length > MAX_LINK_DEGREES:
+        raise DomainError("too-large",
+                          f"{length} link degrees, more than {MAX_LINK_DEGREES}")
+    return GorensteinDelta(tuple(sorted([a, a, h - a, *between, *doubled])))
 
 
 def delta_low(a: int, h: int) -> GorensteinDelta:

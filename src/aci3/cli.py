@@ -81,7 +81,10 @@ def _json_flag(text: str, what: str) -> dict:
 
 
 def _write_output(name: str, text: str) -> str:
-    """Write ``text`` to ``name`` under ACI3_OUTPUT_DIR; an OSError is an input-error."""
+    """Write ``text`` to ``name`` under ACI3_OUTPUT_DIR; a name that leaves
+    that directory, or an OSError, is an input-error."""
+    if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
+        raise DomainError("input-error", f"{name!r} is not a name under ACI3_OUTPUT_DIR")
     base = os.environ.get("ACI3_OUTPUT_DIR", ".")
     path = os.path.join(base, name)
     try:

@@ -167,6 +167,15 @@ def _pure_power_bounds(ideal: MonomialIdeal) -> tuple[int, ...]:
     return tuple(bounds)
 
 
+def _check_box(bounds) -> None:
+    """Refuse, with too-large, an exponent box with these bounds that holds
+    more than ``MAX_STANDARD_BOX`` monomials."""
+    box = prod(bounds)
+    if box > MAX_STANDARD_BOX:
+        raise DomainError("too-large", f"exponent box of {box} monomials too large "
+                                       f"(more than {MAX_STANDARD_BOX})")
+
+
 def _staircase(ideal: MonomialIdeal):
     """The top degree of the exponent box below the pure powers (requires
     artinian), and an iterator over its columns: (head, height) for each
@@ -179,10 +188,7 @@ def _staircase(ideal: MonomialIdeal):
     refused before any column is read.
     """
     bounds = _pure_power_bounds(ideal)
-    box = prod(bounds)
-    if box > MAX_STANDARD_BOX:
-        raise DomainError("too-large", f"exponent box of {box} monomials too large "
-                                       f"(more than {MAX_STANDARD_BOX})")
+    _check_box(bounds)
     columns = [(g[:-1], g[-1]) for g in ideal.gens]
     heads = product(*(range(b) for b in bounds[:-1]))
     return sum(b - 1 for b in bounds), (
@@ -261,6 +267,7 @@ def aci_construction(degrees: DegreesLike, h: int) -> MonomialIdeal:
     lo, hi = degs[-1] + 1, degs[-1] + degs[0] - 1
     if not lo <= h <= hi:
         raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
+    _check_box(degs[:-1] + (h,))     # the box below the pure powers, before the ideal
     gens = []
     for i in range(r - 1):
         gens.append(tuple(degs[i] if k == i else 0 for k in range(r)))

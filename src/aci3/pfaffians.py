@@ -34,26 +34,24 @@ sum(delta) <= 9 * 3640 <= ``MAX_EXPONENT``.
 A pfaffian is a polynomial in the matrix entries, so it commutes with ring
 maps: Alt(delta) is the generic alternating matrix on its support graph
 (one fresh variable per entry with theta - d_i - d_j > 0) under x_ij ->
-x_ij^(theta - d_i - d_j).  ``_plan`` expands the generic pfaffians once per
-support graph, memoised by matrix size and pairs, and ``pfaffian`` and
-``sub_pfaffians`` substitute the entries into them (``_specialize``).  The
-substitution is exact term for term: every exponent is positive and
-distinct perfect matchings use distinct variables, so no two terms meet.
-Any entries that are single terms (a coefficient times a monomial)
-substitute the same way, adding the coefficients of terms that meet;
-an entry of two or more terms is refused.
+x_ij^(theta - d_i - d_j).  One expansion and one substitution serve every
+pfaffian.  ``_plan`` expands the generic pfaffians once per support graph,
+memoised by matrix size and pairs, with ``_pf``: a memoised first-row
+expansion keyed by bit masks, one per perfect matching, so it adds no
+coefficients.  ``_specialize`` substitutes the entries into them: those of
+Alt(delta) for ``pfaffian`` and ``sub_pfaffians``, exact term for term
+(every exponent is positive and distinct matchings use distinct
+variables), and the integers of ``pfaffian_int``, as constants, into the
+pfaffian of the complete graph.  Any single-term entries substitute the
+same way, adding the coefficients of terms that meet; an entry of two or
+more terms is refused.  So the Pf(M)^2 = det(M) check of
+``pf_squared_equals_det`` runs the code behind the sub-pfaffians and the
+witness ideals, on coefficients other than +-1 and terms of both signs.
 
-One memoised first-row expansion, ``_pf``, serves the generic matrices and
-integer ones alike: the plans and ``pfaffian_int`` (whose integers are
-constants) both call it, so the Pf(M)^2 = det(M) check of
-``pf_squared_equals_det`` tests the expansion behind the sub-pfaffians and
-the witness ideals.  It works on the raw {key: coeff} dicts, adds each
-+-entry * sub-pfaffian straight into its running total, reads a two-index
-pfaffian straight off the matrix and looks each larger index set up in the
-memo before it recurses.  ``pfaffian_last_row`` is the cross-check: the
-expansion along the last row unrolled into a signed sum over the perfect
-matchings of the index set, on the same dicts, with no memo and no code
-shared with ``_pf``.  Polynomials have no addition: ``*`` is their one
+``pfaffian_last_row`` is the cross-check: the expansion along the last row
+unrolled into a signed sum over the perfect matchings of the index set, on
+the packed dicts, with no memo and no code shared with ``_pf`` or
+``_specialize``.  Polynomials have no addition: ``*`` is their one
 arithmetic operation, and the witness ideals need no other.
 """
 
@@ -312,7 +310,7 @@ def pfaffian(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
     (default: everything): the generic pfaffian of m's support graph,
     specialized to m's entries."""
     idx = _check_subset(m, subset if subset is not None else range(1, m.size + 1))
-    return _specialize(m, (idx,))[0]
+    return _clean(m.ring, _specialize(m.size, m.upper, (idx,))[0])
 
 
 @lru_cache(maxsize=64)     # the sub-pfaffian degree check sees 36 support graphs
@@ -322,26 +320,60 @@ def _plan(size: int, pairs: tuple):
     terms, each the slots in ``pairs`` of the entries it multiplies, with
     its coefficient +-1.
 
-    The entry in slot k is a variable of its own: a 1 in field k + 1 of the
-    key, above the degree field, which stays 0 and so never sets a guard
-    bit.  Each key of ``_pf``'s expansion then holds the pairs of one
-    perfect matching.  One memo serves every index set of the graph.
+    The entry in slot k is the bit 1 << k, so each key of ``_pf``'s
+    expansion is the set of pairs of one perfect matching.  One memo serves
+    every index set of the graph.
     """
-    unit = {ij: {1 << FIELD_BITS * k: 1} for k, ij in enumerate(pairs, 1)}
-    fields = tuple(enumerate(1 << FIELD_BITS * k for k in range(1, len(pairs) + 1)))
+    slot = {ij: 1 << k for k, ij in enumerate(pairs)}
     memo: dict = {}
 
     @lru_cache(maxsize=None)
     def terms(idx: tuple) -> tuple:
-        return tuple((tuple(k for k, bit in fields if key & bit), c)
-                     for key, c in _pf(unit, idx, memo).items())
+        return tuple((tuple(k for k in range(len(pairs)) if mask >> k & 1), c)
+                     for mask, c in _pf(slot, idx, memo).items())
 
     return terms
 
 
-def _specialize(m: AlternatingMatrix, index_sets) -> list[SparsePolynomial]:
-    """The pfaffians of m on each index tuple, by the substitution x_ij ->
-    a_ij into the generic pfaffians of m's support graph (``_plan``).
+def _pf(slot: dict, idx: tuple, memo: dict) -> dict:
+    """First-row expansion of the generic pfaffian on the index tuple idx,
+    as {mask of one perfect matching: +-1}.
+
+    ``slot`` maps each edge (i, j), i < j, of the support graph to its bit,
+    and ``memo`` caches the pfaffians of index sets of four or more by index
+    tuple.
+    """
+    if len(idx) == 2:
+        return {slot[idx]: 1} if idx in slot else {}
+    if not idx:
+        return {0: 1}
+    first = idx[0]
+    rest = idx[1:]
+    total: dict = {}
+    sign = -1
+    for pos, other in enumerate(rest):
+        sign = -sign
+        bit = slot.get((first, other))
+        if bit is None:
+            continue
+        key = rest[:pos] + rest[pos + 1:]
+        if len(key) == 2:
+            if key in slot:
+                total[bit | slot[key]] = sign
+            continue
+        sub = memo.get(key)
+        if sub is None:
+            sub = memo[key] = _pf(slot, key, memo)
+        for mask, c in sub.items():
+            total[bit | mask] = sign * c
+    return total
+
+
+def _specialize(size: int, upper: dict, index_sets) -> list[dict]:
+    """The pfaffians on each index tuple of the alternating matrix with the
+    upper entries ``upper`` ((i, j) with i < j -> packed dict), as packed
+    dicts: the substitution x_ij -> a_ij into the generic pfaffians of its
+    support graph (``_plan``).
 
     The substitution is a ring map, so it commutes with the pfaffian; each
     entry must be one term.  A term of a pfaffian on 2k indices adds k entry
@@ -349,9 +381,9 @@ def _specialize(m: AlternatingMatrix, index_sets) -> list[SparsePolynomial]:
     degree sum is tested, since a sum of three or more keys can carry past
     a field and clear its guard bit again.
     """
-    terms_of = _plan(m.size, tuple(m.upper))
+    terms_of = _plan(size, tuple(upper))
     keys, coeffs = [], []
-    for ij, entry in m.upper.items():
+    for ij, entry in upper.items():
         if len(entry) != 1:
             raise DomainError("input-error", f"entry {ij} is not a single term")
         (key, c), = entry.items()
@@ -373,51 +405,8 @@ def _specialize(m: AlternatingMatrix, index_sets) -> list[SparsePolynomial]:
             total[key] = get(key, 0) + c
         if 0 in total.values():
             total = {e: c for e, c in total.items() if c}
-        out.append(_clean(m.ring, total))
+        out.append(total)
     return out
-
-
-def _pf(upper: dict, idx: tuple, memo: dict) -> dict:
-    """First-row expansion of the pfaffian on the index tuple idx, as a
-    {packed key: coeff} dict.
-
-    ``upper`` maps (i, j) with i < j to the nonzero entries as packed dicts,
-    and ``memo`` caches the pfaffians of index sets of four or more by index
-    tuple.
-    """
-    if len(idx) == 2:
-        return upper.get(idx, {})
-    if not idx:
-        return {0: 1}
-    first = idx[0]
-    rest = idx[1:]
-    total: dict = {}
-    get = total.get
-    sign = -1
-    for pos, other in enumerate(rest):
-        sign = -sign
-        entry = upper.get((first, other))
-        if entry is None:
-            continue
-        key = rest[:pos] + rest[pos + 1:]
-        if len(key) == 2:
-            sub = upper.get(key)
-            if sub is None:
-                continue
-        else:
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = _pf(upper, key, memo)
-            if not sub:
-                continue
-        for e1, c1 in entry.items():
-            c1 *= sign
-            for e2, c2 in sub.items():
-                e = e1 + e2
-                total[e] = get(e, 0) + c1 * c2
-    if 0 in total.values():
-        total = {e: c for e, c in total.items() if c}
-    return _checked(total)
 
 
 def pfaffian_last_row(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
@@ -449,12 +438,14 @@ def sub_pfaffians(m: AlternatingMatrix) -> list[SparsePolynomial]:
     if m.size % 2 == 0:
         raise DomainError("input-error", f"need odd size, got {m.size}")
     full = tuple(range(1, m.size + 1))
-    return _specialize(m, [full[:i] + full[i + 1:] for i in range(m.size)])
+    return [_clean(m.ring, p)
+            for p in _specialize(m.size, m.upper, [full[:i] + full[i + 1:] for i in range(m.size)])]
 
 
 def pfaffian_int(mat) -> int:
-    """Pfaffian of an integer alternating matrix (0-based list of rows), by
-    the same first-row expansion as ``pfaffian``, on constants."""
+    """Pfaffian of an integer alternating matrix (0-based list of rows): the
+    generic pfaffian of the complete graph, with each entry substituted as a
+    constant, as ``pfaffian`` substitutes the entries of Alt(delta)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DomainError("input-error", "matrix is not square")
@@ -466,8 +457,8 @@ def pfaffian_int(mat) -> int:
                 raise DomainError("input-error", "matrix is not alternating")
     if n % 2:
         raise DomainError("input-error", f"pfaffian needs even size, got {n}")
-    upper = {(i, j): {0: mat[i][j]} for i in range(n) for j in range(i + 1, n) if mat[i][j]}
-    return _pf(upper, tuple(range(n)), {}).get(0, 0)
+    upper = {(i + 1, j + 1): {0: mat[i][j]} for i in range(n) for j in range(i + 1, n)}
+    return _specialize(n, upper, [tuple(range(1, n + 1))])[0].get(0, 0)
 
 
 def pf_squared_equals_det(mat) -> bool:

@@ -17,6 +17,7 @@ from aci3 import (
     cancel_ah,
     cancel_couple,
     ci_hilbert,
+    classify,
     d_star,
     delta_high,
     delta_low,
@@ -26,7 +27,7 @@ from aci3 import (
     maximal_table,
     t_max,
 )
-from aci3.classify import EVEN, MAX_POSET_NODES, ODD, PosetEdge
+from aci3.classify import EVEN, MAX_LINK_DEGREES, MAX_POSET_NODES, ODD, PosetEdge
 
 
 def depth(a, h):
@@ -382,3 +383,29 @@ class TestDeltas:
             delta_low(3, 6)
         with pytest.raises(DomainError):
             delta_high(3, 5)
+
+    def test_length_checked_before_building(self, monkeypatch):
+        # the length the cap sees is the length built, for every (a, h) the
+        # gaeta check builds: a cap one below it refuses the sequence
+        for a in range(2, 15):
+            for h in range(a + 1, 3 * a - 1):
+                build = delta_low if h < 2 * a else delta_high
+                length = len(build(a, h))
+                assert length <= MAX_LINK_DEGREES
+                monkeypatch.setattr(classify, "MAX_LINK_DEGREES", length - 1)
+                with pytest.raises(DomainError) as exc:
+                    build(a, h)
+                assert exc.value.code == "too-large"
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("build, a, h", [
+        # lengths are odd: a + 2 + [a even] at h = 2a, a + 1 + [a odd] at h = 2a - 1
+        (delta_high, 9997, 2 * 9997),     # 9999 degrees, then 10001
+        (delta_low, 9998, 2 * 9998 - 1),  # 9999, then 10001 at a + 1
+    ])
+    def test_length_cap(self, build, a, h):
+        assert MAX_LINK_DEGREES == 10 ** 4
+        assert len(build(a, h)) == MAX_LINK_DEGREES - 1
+        with pytest.raises(DomainError) as exc:
+            build(a + 1, h + 2)
+        assert exc.value.code == "too-large"

@@ -224,6 +224,9 @@ class TestInputErrors:
           '{"c":3,"gens":[[400,0,0],[0,400,0],[0,0,400],[1,1,1]]}'], "too-large"),
         (["verify", "--scope", "monomial", "--max-degree", "13"], "too-large"),
         (["verify", "--scope", "liaison", "--max-a", "200"], "too-large"),
+        (["aci", "monomial", "--degrees", ",".join(["2"] * 400), "--h", "3"], "too-large"),
+        (["gorenstein", "delta-high", "--a", "9998", "--h", "19996"], "too-large"),
+        (["gorenstein", "delta-low", "--a", "1000000", "--h", "2000000"], "h-out-of-range"),
     ])
     def test_oversized_inputs_fail_at_once(self, argv, code, capsys):
         start = time.perf_counter()
@@ -262,6 +265,26 @@ class TestInputErrors:
         (tmp_path / "file").write_text("")
         monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path / out_dir))
         assert json_error(argv, capsys) == "input-error"
+
+    @pytest.mark.parametrize("argv", [
+        ["hf", "ci", "--degrees", "2,2", "--csv"],
+        ["export", "cas", "--kind", "pfaffian-q", "--out"],
+    ])
+    @pytest.mark.parametrize("name", ["{tmp}/x.out", "../x.out", "in/../../x.out"])
+    def test_names_outside_the_output_dir_refused(self, argv, name, tmp_path, monkeypatch,
+                                                  capsys):
+        # one level above ACI3_OUTPUT_DIR is refused before any write
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path / "out"))
+        assert json_error(argv + [name.format(tmp=tmp_path)], capsys) == "input-error"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_names_below_the_output_dir_written(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        (tmp_path / "in").mkdir()
+        for name in ("x.csv", "in/../y.csv", "in/z.csv"):
+            payload(["hf", "ci", "--degrees", "2,2", "--csv", name])
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv")) == \
+            ["in/z.csv", "x.csv", "y.csv"]
 
     @pytest.mark.parametrize("handler, exc_name", [
         (lambda args: ("three", ()), "ValidationError"),   # breaks classify-tmax's schema

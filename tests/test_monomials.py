@@ -19,6 +19,7 @@ from aci3 import (
     intersect,
     is_artinian,
     minimalize,
+    monomials,
     rigid_witness,
     standard_monomials,
 )
@@ -134,6 +135,20 @@ class TestHilbertFunction:
         for walk in (standard_monomials, hilbert_function):
             with pytest.raises(DomainError, match="too large") as exc:
                 walk(MonomialIdeal(2, ((73, 0), (0, 137))))   # 10^4 + 1
+            assert exc.value.code == "too-large"
+
+    def test_aci_box_cap_before_the_ideal(self, monkeypatch):
+        # aci_construction's box is a_1 ... a_{r-1} h: 99 * 101 = 9999 is
+        # admitted, 73 * 137 = 10^4 + 1 is refused before any generator
+        # is compared with another
+        assert hilbert_function(aci_construction((99, 100), 101)) == ci_hilbert((99, 100))
+
+        def no_ideal(*args):
+            raise AssertionError("ideal built")
+        monkeypatch.setattr(monomials, "MonomialIdeal", no_ideal)
+        for degrees, h in (((73, 100), 137), ((2,) * 400, 3)):
+            with pytest.raises(DomainError, match="too large") as exc:
+                aci_construction(degrees, h)
             assert exc.value.code == "too-large"
 
     @given(artinian_ideals())

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, alternating matrices, and the pfaffian engine."""
 
+import hashlib
 import json
 import random
 import warnings
@@ -14,6 +15,7 @@ from aci3 import (
     PolyRing,
     SparsePolynomial,
     alt_matrix,
+    cli,
     gaeta_check,
     pf_squared_equals_det,
     pfaffian,
@@ -23,7 +25,7 @@ from aci3 import (
     sub_pfaffians,
     witness_ideals_a3_h5,
 )
-from aci3.cli import main, run
+from aci3.cli import build_parser, main, run, schema_name, validate_payload
 from aci3.intmat import int_det
 from aci3.verify import random_alternating
 
@@ -363,6 +365,33 @@ class TestSubPfaffianPayload:
         m = alt_matrix(delta)
         assert rebuilt == pfaffian(m, [k for k in range(1, m.size + 1) if k != i])
         assert str(rebuilt) == result["pretty"]
+
+    def test_pinned_payloads(self):
+        # pfaffian alt and every pfaffian sub --i of the 203 sequences of
+        # length 3, 5, 7 with entries <= 5 and integral theta, plus one of
+        # length 9, and pfaffian example; one parser serves every call
+        parser = build_parser(["pfaffian"])
+
+        def payload(*argv):
+            args = parser.parse_args(["pfaffian", *argv])
+            out, _ = getattr(cli, args.route.handler)(args)
+            validate_payload(schema_name(args), out)
+            return json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
+
+        deltas = [delta for length in (3, 5, 7)
+                  for delta in combinations_with_replacement(range(1, 6), length)
+                  if sum(delta) % ((length - 1) // 2) == 0]
+        deltas.append((2, 3, 3, 4, 4, 4, 5, 5, 6))
+        lines = []
+        for delta in deltas:
+            arg = ",".join(map(str, delta))
+            lines.append(payload("alt", "--delta", arg))
+            lines += [payload("sub", "--delta", arg, "--i", str(i))
+                      for i in range(1, len(delta) + 1)]
+        lines.append(payload("example"))
+        assert len(lines) == 1375
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "62d9d552f08160c77d60bd86058f9562efd5eab0d423e384d73c55ec8eae7aa8"
 
 
 class TestEntryCap:

@@ -131,15 +131,15 @@ def test_plan_keeps_the_scope_bounds(monkeypatch):
 
 def test_pf_squared_checks_the_shared_expansion(fresh_plans, monkeypatch):
     # pfaffian_int runs on the expansion behind pfaffian and sub_pfaffians:
-    # adding one to the constant term of every expansion breaks both (the
+    # adding one to the empty matching of every expansion breaks both (the
     # expected p_i come from the cross-check, so no plan is built unstubbed)
     original = pfaffians._pf
     m = pfaffians.alt_matrix((2, 3, 3, 4, 4))
     expected = [pfaffians.pfaffian_last_row(m, [k for k in range(1, 6) if k != i])
                 for i in range(1, 6)]
 
-    def off_by_one(upper, idx, memo):
-        out = dict(original(upper, idx, memo))
+    def off_by_one(slot, idx, memo):
+        out = dict(original(slot, idx, memo))
         out[0] = out.get(0, 0) + 1
         return out
 
@@ -150,10 +150,41 @@ def test_pf_squared_checks_the_shared_expansion(fresh_plans, monkeypatch):
 
 def test_no_expansion_fails_every_pfaffian_check(fresh_plans, monkeypatch):
     # an expansion that finds no term leaves every pfaffian zero
-    monkeypatch.setattr(pfaffians, "_pf", lambda upper, idx, memo: {})
+    monkeypatch.setattr(pfaffians, "_pf", lambda slot, idx, memo: {})
     for check in (verify.check_pfaffian_degrees, verify.check_pf_squared,
                   verify.check_witness_degrees):
         assert check().ok is False, check
+
+
+def _unit_coefficients(monkeypatch):
+    # the substitution ignores the coefficient of every entry
+    original = pfaffians._specialize
+
+    def specialize(size, upper, index_sets):
+        units = {ij: {key: 1 for key in entry} for ij, entry in upper.items()}
+        return original(size, units, index_sets)
+
+    monkeypatch.setattr(pfaffians, "_specialize", specialize)
+
+
+def _unsigned_terms(monkeypatch):
+    # the substitution drops the sign of every term of the generic pfaffian
+    original = pfaffians._plan
+
+    def plan(size, pairs):
+        terms = original(size, pairs)
+        return lambda idx: tuple((slots, abs(c)) for slots, c in terms(idx))
+
+    monkeypatch.setattr(pfaffians, "_plan", plan)
+
+
+@pytest.mark.parametrize("mutate", [_unit_coefficients, _unsigned_terms])
+def test_broken_substitution_fails_pf_squared(monkeypatch, mutate):
+    # every entry of Alt(delta) is +1 times a monomial, and the degree and
+    # witness checks count terms; Pf(M)^2 = det(M), on integer entries
+    # other than +-1 and terms of both signs, sees either fault
+    mutate(monkeypatch)
+    assert verify.check_pf_squared().ok is False
 
 
 def test_pfaffian_degree_check_expands_each_support_graph_once(fresh_plans, monkeypatch):
@@ -162,10 +193,10 @@ def test_pfaffian_degree_check_expands_each_support_graph_once(fresh_plans, monk
     calls = 0
     original = pfaffians._pf
 
-    def counted(upper, idx, memo):
+    def counted(slot, idx, memo):
         nonlocal calls
         calls += 1
-        return original(upper, idx, memo)
+        return original(slot, idx, memo)
 
     monkeypatch.setattr(pfaffians, "_pf", counted)
     assert verify.check_pfaffian_degrees().ok
