@@ -46,8 +46,10 @@ class HilbertFunction:
         vals = tuple(map(int, self.values))
         if vals and min(vals) < 0:
             raise DomainError("not-hilbert-function", f"negative value in {vals}")
-        while vals and vals[-1] == 0:
-            vals = vals[:-1]
+        end = len(vals)
+        while end and not vals[end - 1]:
+            end -= 1
+        vals = vals[:end]
         if vals and vals[0] != 1:
             raise DomainError("not-hilbert-function", f"H(0) = {vals[0]} != 1")
         object.__setattr__(self, "values", vals)

@@ -27,6 +27,11 @@ _SHORT_NAMES = ("x", "y", "z", "w")
 # standard_monomials: the size of the exponent box below the pure powers,
 # checked before it is walked (code too-large)
 MAX_STANDARD_BOX = 10_000
+# from_json: the number of generators read from JSON, checked before they
+# are minimalised, which is quadratic in it (code too-large).  An ideal whose
+# box passes has its c pure powers and an antichain of the box as minimal
+# generators: at most 344 more in 3 variables and 670 in 4.
+MAX_JSON_GENERATORS = 1000
 
 
 def var_names(c: int) -> tuple[str, ...]:
@@ -39,20 +44,8 @@ def divides(d: Monomial, m: Monomial) -> bool:
     return all(map(le, d, m))
 
 
-def m_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def m_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def m_div(a: Monomial, b: Monomial) -> Monomial:
-    """Componentwise quotient a / b; b must divide a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise DomainError("input-error", f"{b} does not divide {a}")
-    return out
 
 
 def format_monomial(m: Monomial, names=None, sep: str = "") -> str:
@@ -121,7 +114,11 @@ class MonomialIdeal:
     def from_json(cls, data: dict) -> "MonomialIdeal":
         try:
             c = int(data["c"])
-            return minimalize([tuple(g) for g in data["gens"]], c)
+            gens = data["gens"]
+            if len(gens) > MAX_JSON_GENERATORS:
+                raise DomainError("too-large", f"{len(gens)} generators "
+                                               f"(more than {MAX_JSON_GENERATORS})")
+            return minimalize([tuple(g) for g in gens], c)
         except DomainError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -221,10 +218,7 @@ def hilbert_function(ideal: MonomialIdeal) -> HilbertFunction:
         base = sum(head)
         steps[base] += 1
         steps[base + height] -= 1
-    values = list(accumulate(steps))
-    while values and not values[-1]:
-        values.pop()
-    return HilbertFunction(tuple(values))
+    return HilbertFunction(tuple(accumulate(steps)))
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -234,7 +228,9 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def _colon_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    return minimalize([m_div(g, m_gcd(g, m)) for g in ideal.gens], ideal.c)
+    """ideal : m, generated by the positive parts of g - m, g / gcd(g, m)."""
+    return minimalize([tuple(max(x - y, 0) for x, y in zip(g, m)) for g in ideal.gens],
+                      ideal.c)
 
 
 def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .hilbert import BettiTable, ci_hilbert, hilbert_from_betti
+from .hilbert import ci_hilbert, hilbert_from_betti
 
 if TYPE_CHECKING:
     from . import classify
@@ -146,15 +146,11 @@ def check_colon_link(max_degree: int = 5) -> CheckResult:
 @_check("betti/rigid-resolution-oracle")
 def check_rigid_resolution(max_a: int = 5) -> CheckResult:
     """The Koszul-homology oracle on (x^a, y^(a+1), z^a, x^(a-1)y) returns
-    exactly the rigid h = a + 1 table, for a = 2..max_a."""
-    from . import koszul, monomials
+    exactly the rigid h = a + 1 table, the maximal table of the even (a, a+1)
+    family, for a = 2..max_a."""
+    from . import classify, koszul, monomials
     for a in range(2, max_a + 1):
-        expected = BettiTable(3, (
-            (0,),
-            tuple(sorted((a, a, a, a + 1))),
-            tuple(sorted((2 * a, 2 * a, 2 * a, 2 * a + 1, a + 1))),
-            tuple(sorted((2 * a + 1, 3 * a))),
-        ))
+        expected = classify.maximal_table(classify.AciFamily(a, a + 1, classify.EVEN)).table
         ok, diffs = koszul.verify_resolution(monomials.rigid_witness(a), expected)
         if not ok:
             raise _Failed(f"a = {a}: {diffs}")
@@ -289,57 +285,42 @@ def check_gaeta(max_a: int = 8) -> CheckResult:
     return f"a = 2..{max_a}, both ranges"
 
 
-@functools.lru_cache(maxsize=64)     # the default check sees 36 graphs
-def _perfect_matchings(size: int, pairs: tuple) -> tuple[int, ...]:
-    """For i = 1..size, the number of perfect matchings of the graph on
-    1..size with edges ``pairs`` once vertex i is deleted."""
-    adjacent = [0] * (size + 1)
-    for i, j in pairs:
-        adjacent[i] |= 1 << j
-        adjacent[j] |= 1 << i
-
-    @functools.cache
-    def count(left: int) -> int:
-        # match the lowest vertex of the bitmask left with each neighbour in it
-        if not left:
-            return 1
-        low = left & -left
-        rest = left ^ low
-        partners = rest & adjacent[low.bit_length() - 1]
-        total = 0
-        while partners:
-            partner = partners & -partners
-            total += count(rest ^ partner)
-            partners ^= partner
-        return total
-
-    everyone = (1 << (size + 1)) - 2     # bits 1..size
-    return tuple(count(everyone ^ (1 << i)) for i in range(1, size + 1))
-
-
 @_check("pfaffian/sub-pfaffian-degrees")
 def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
     """Each sub-pfaffian p_i of Alt(delta) is homogeneous of degree d_i, for
     every sorted delta with integral theta, length <= max_len, entries <=
-    max_entry.  Each entry of Alt(delta) is a power of its own variable, so
-    p_i has one term, with coefficient +-1, per perfect matching of the
-    support graph without i."""
+    max_entry.  On the first matrix of each support graph the p_i equal the
+    cross-check ``pfaffian_last_row``, a signed sum over perfect matchings.
+    Each entry of Alt(delta) is a power of its own variable, so p_i has one
+    term, with coefficient +-1, per perfect matching of the support graph
+    without i: the term counts of that first matrix hold for every matrix
+    of the graph."""
     from . import pfaffians
     cases = terms = 0
     units = {1, -1}
+    term_counts = {}    # support graph -> the number of terms of each p_i
     for length in range(3, max_len + 1, 2):
         n = (length - 1) // 2
+        full = tuple(range(1, length + 1))
         for degs in combinations_with_replacement(range(1, max_entry + 1), length):
             if sum(degs) % n:
                 continue
             m = pfaffians.alt_matrix(degs)
-            matchings = _perfect_matchings(m.size, tuple(m.upper))
-            for i, p in enumerate(pfaffians.sub_pfaffians(m)):
+            subs = pfaffians.sub_pfaffians(m)
+            graph = (m.size, tuple(m.upper))
+            if graph not in term_counts:
+                expected = [pfaffians.pfaffian_last_row(m, full[:i] + full[i + 1:])
+                            for i in range(length)]
+                if subs != expected:
+                    raise _Failed(f"p_i differ from pfaffian_last_row for delta = {degs}")
+                term_counts[graph] = [len(p.packed) for p in expected]
+            counts = term_counts[graph]
+            for i, p in enumerate(subs):
                 if not p.is_homogeneous(degs[i]):
                     raise _Failed(f"deg p_{i + 1} != {degs[i]} for delta = {degs}")
-                if len(p.packed) != matchings[i] or not units.issuperset(p.packed.values()):
-                    raise _Failed(f"p_{i + 1} is not {matchings[i]} terms +-1 for delta = {degs}")
-            terms += sum(matchings)
+                if len(p.packed) != counts[i] or not units.issuperset(p.packed.values()):
+                    raise _Failed(f"p_{i + 1} is not {counts[i]} terms +-1 for delta = {degs}")
+            terms += sum(counts)
             cases += 1
     return (f"{cases} degree sequences, length <= {max_len}, entries <= {max_entry}, "
             f"{terms} terms, one per perfect matching")
@@ -372,16 +353,19 @@ def check_pf_squared(trials: int = 100) -> CheckResult:
 @_check("pfaffian/witness-ideals")
 def check_witness_degrees() -> CheckResult:
     """Both witness ideals for (a, h) = (3, 5) have generator degrees sorting
-    to (3, 3, 3, 5), matching level 1 of their tables."""
-    from . import pfaffians
+    to level 1 of their tables: I_Q that of the maximal even-family table,
+    I_W that of the same table with the a+h pair cancelled."""
+    from . import classify, pfaffians
+    top = classify.maximal_table(classify.AciFamily(3, 5, classify.EVEN))
     w = pfaffians.witness_ideals_a3_h5()
     if any(p.is_zero for p in w.iq + w.iw):
         raise _Failed("zero generator")
     if w.degrees_q() != (3, 3, 5, 3) or w.degrees_w() != (3, 3, 5, 3):
         raise _Failed(f"degrees {w.degrees_q()}, {w.degrees_w()}")
-    if tuple(sorted(w.degrees_q())) != (3, 3, 3, 5):
-        raise _Failed("sorted degrees differ")
-    return "generator degrees (3, 3, 5, 3), sorting to (3, 3, 3, 5)"
+    for degrees, tbl in ((w.degrees_q(), top), (w.degrees_w(), classify.cancel_ah(top))):
+        if tuple(sorted(degrees)) != tbl.table.levels[1]:
+            raise _Failed(f"sorted degrees differ from level 1 {tbl.table.levels[1]}")
+    return f"generator degrees (3, 3, 5, 3), sorting to {top.table.levels[1]}"
 
 
 @_check("cas/scripts")

@@ -129,10 +129,13 @@ class TestMaximalTable:
         assert table.levels == ((0,), (3, 3, 3, 6), (6, 6, 6, 6, 7, 8), (7, 8, 9))
 
     def test_rigid_h_a_plus_1(self):
-        for a in range(2, 7):
+        # the rigid table written out, for every a that verify admits:
+        # verify's Koszul check takes its expected table from maximal_table
+        for a in range(2, 15):
             table = maximal_table(AciFamily(a, a + 1, EVEN)).table
             assert table.t == 2
             assert table.levels[3] == (2 * a + 1, 3 * a)
+            assert table.levels[2] == tuple(sorted((2 * a, 2 * a, 2 * a, 2 * a + 1, a + 1)))
             assert table.levels[1] == tuple(sorted((a, a, a, a + 1)))
 
     def test_hilbert_function(self):

@@ -177,6 +177,10 @@ class TestErrorsAndDeterminism:
             validate_payload("hf-ci", [1, -3])
 
 
+_ANTICHAIN_6001 = json.dumps({"c": 3, "gens": [[i, 6000 - i, 0] for i in range(6001)]})
+_ZERO_TAIL = "1," + ",".join(["0"] * 60_000)
+
+
 def json_error(argv, capsys):
     """Exit status 1 and a JSON error on stderr; returns its code."""
     assert main(argv) == 1
@@ -227,10 +231,25 @@ class TestInputErrors:
         (["aci", "monomial", "--degrees", ",".join(["2"] * 400), "--h", "3"], "too-large"),
         (["gorenstein", "delta-high", "--a", "9998", "--h", "19996"], "too-large"),
         (["gorenstein", "delta-low", "--a", "1000000", "--h", "2000000"], "h-out-of-range"),
+        # an antichain of 6001 generators, refused before it is minimalised
+        (["betti", "oracle", "--ideal", _ANTICHAIN_6001], "too-large"),
+        (["export", "cas", "--kind", "monomial", "--ideal", _ANTICHAIN_6001], "too-large"),
     ])
     def test_oversized_inputs_fail_at_once(self, argv, code, capsys):
         start = time.perf_counter()
         assert json_error(argv, capsys) == code
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["hf", "diff", "--hf", _ZERO_TAIL],
+        ["hf", "recognize", "--hf", _ZERO_TAIL],
+        ["hf", "bound", "--hf", _ZERO_TAIL, "--c", "3", "--j", "2"],
+        ["liaison", "link", "--z", "2,2,2", "--hq", _ZERO_TAIL],
+    ])
+    def test_long_zero_tails_answer_at_once(self, argv):
+        # 60,000 trailing zeros (a 120 KB argument) are trimmed in one pass
+        start = time.perf_counter()
+        assert run(argv).status == "ok"
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("argv, named", [

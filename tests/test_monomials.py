@@ -23,7 +23,13 @@ from aci3 import (
     rigid_witness,
     standard_monomials,
 )
-from aci3.monomials import MAX_STANDARD_BOX, divides, format_monomial, m_lcm
+from aci3.monomials import (
+    MAX_JSON_GENERATORS,
+    MAX_STANDARD_BOX,
+    divides,
+    format_monomial,
+    m_lcm,
+)
 
 
 def oracle_hilbert(ideal, top):
@@ -304,3 +310,17 @@ class TestHelpers:
         # non-minimal JSON input is minimalized on load
         loaded = MonomialIdeal.from_json({"c": 2, "gens": [[1, 0], [2, 0]]})
         assert loaded.gens == ((1, 0),)
+
+    def test_json_generator_cap(self, monkeypatch):
+        # 1000 generators are read and minimalised; one more is refused
+        # before any generator is compared with another
+        assert MAX_JSON_GENERATORS == 1000
+        gens = [[k, 0] for k in range(1, MAX_JSON_GENERATORS + 1)]
+        assert MonomialIdeal.from_json({"c": 2, "gens": gens}).gens == ((1, 0),)
+
+        def no_minimalize(*args):
+            raise AssertionError("generators minimalised")
+        monkeypatch.setattr(monomials, "minimalize", no_minimalize)
+        with pytest.raises(DomainError, match="1001 generators") as exc:
+            MonomialIdeal.from_json({"c": 2, "gens": gens + [[0, 1]]})
+        assert exc.value.code == "too-large"

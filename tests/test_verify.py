@@ -1,6 +1,7 @@
 """Failure paths of the verification suite: each check reports ok = False,
 under its usual name, when one of its dependencies gives a wrong answer."""
 
+import hashlib
 import json
 import re
 
@@ -8,7 +9,7 @@ import pytest
 
 from aci3 import DomainError, cas, classify, koszul, liaison, monomials, pfaffians, verify
 from aci3.cli import main
-from aci3.hilbert import HilbertFunction
+from aci3.hilbert import BettiTable, HilbertFunction
 
 BROKEN = [
     (verify.check_aci_hilbert, "monomial/aci-hilbert-equals-ci",
@@ -46,7 +47,33 @@ ALSO_BROKEN = {
         verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
         pfaffians, "sub_pfaffians",
         lambda m, original=pfaffians.sub_pfaffians: [_constant(m, 2) * p for p in original(m)]),
+    # a relative sign: term counts, +-1 coefficients, Pf^2 = det and the
+    # witness degrees cannot see it, the cross-check pfaffian_last_row does
+    "pfaffian/sub-pfaffian-degrees-p2-negated": (
+        verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
+        pfaffians, "sub_pfaffians",
+        lambda m, original=pfaffians.sub_pfaffians:
+            [_constant(m, -1) * p if i == 1 else p for i, p in enumerate(original(m))]),
+    "pfaffian/sub-pfaffian-degrees-sign-flip": (
+        verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
+        pfaffians, "sub_pfaffians",
+        lambda m, original=pfaffians.sub_pfaffians: [_constant(m, -1) * p for p in original(m)]),
+    # the expected tables are classify's maximal tables
+    "betti/rigid-resolution-oracle-twist-dropped": (
+        verify.check_rigid_resolution, "betti/rigid-resolution-oracle",
+        classify, "maximal_table", lambda fam: _drop_a_twist(fam, 2)),
+    "pfaffian/witness-ideals-generator-dropped": (
+        verify.check_witness_degrees, "pfaffian/witness-ideals",
+        classify, "maximal_table", lambda fam: _drop_a_twist(fam, 1)),
 }
+
+
+def _drop_a_twist(fam, level, original=classify.maximal_table):
+    # the family's maximal table without the first twist of one level
+    top = original(fam)
+    levels = list(top.table.levels)
+    levels[level] = levels[level][1:]
+    return classify.AciTable(top.a, top.h, top.parity, BettiTable(3, tuple(levels)))
 
 
 def _constant(m, c):
@@ -210,6 +237,19 @@ def test_pfaffian_degree_check_covers_every_sequence():
     assert result.ok
     assert result.detail == ("1656 degree sequences, length <= 7, entries <= 8, "
                              "24378 terms, one per perfect matching")
+
+
+def test_verify_output_pinned(capsys):
+    # stdout and stderr of `verify --scope all` at three bound pairs, byte
+    # for byte: every detail line and the human summary
+    text = ""
+    for max_degree, max_a in ((5, 6), (5, 9), (7, 12)):
+        assert main(["verify", "--scope", "all", "--max-degree", str(max_degree),
+                     "--max-a", str(max_a)]) == 0
+        captured = capsys.readouterr()
+        text += captured.out + captured.err
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "32c89911d4538766fbc74504bc3b542cf1cb48b5fb7a62889e5ba2377abbb408"
 
 
 def test_cli_verify_exits_1_on_failure(monkeypatch, capsys):
