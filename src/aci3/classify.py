@@ -341,16 +341,22 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
         raise DomainError("too-large", f"(a, h) = ({a}, {h}): the table poset has "
                                        f"2^{d} - 1 nodes, more than {MAX_POSET_NODES}")
     high = h >= 2 * a
-    moves = [("couple", pair) for pair in allowed_couples(AciFamily(a, h, ODD if high else EVEN))]
+    seed = AciFamily(a, h, ODD if high else EVEN)
+    moves = [("couple", pair) for pair in allowed_couples(seed)]
     if not high:
         moves.append(("ah", (a + h,)))
+    # the maximal table's levels 0 and 1, and its levels 2 and 3 without the
+    # free twists that the moves cancel
+    top = maximal_table(seed).table.levels
+    free = [j for _, twists in moves for j in twists]
+    head, forced2, forced3 = top[:2], _remove_twists(top[2], free), _remove_twists(top[3], free)
     full = (1 << d) - 1     # cancels everything: the t-floor leaves it out
-    head = ((0,), tuple(sorted((a, a, a, h))))
     found = []
     for mask in range(full):
-        kept = [j for i, (_, twists) in enumerate(moves) if not mask >> i & 1 for j in twists]
-        found.append((head + (tuple(sorted([h, 2 * a, 2 * a, 2 * a] + kept)),
-                              tuple(sorted(kept + [3 * a]))), mask))
+        kept = tuple([j for i, (_, twists) in enumerate(moves) if not mask >> i & 1
+                      for j in twists])
+        found.append((head + (tuple(sorted(forced2 + kept)), tuple(sorted(forced3 + kept))),
+                      mask))
     found.sort()
     position = {mask: i for i, (_, mask) in enumerate(found)}
     ah_bit = 0 if high else 1 << (d - 1)

@@ -74,9 +74,12 @@ def validate_payload(name: str, payload) -> None:
 
 
 def _json_flag(text: str, what: str) -> dict:
+    """The JSON value of ``text``.  Bad JSON, an integer over Python's digit
+    limit (ValueError) and nesting too deep to decode (RecursionError) are
+    input-errors."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DomainError("input-error", f"malformed JSON for {what}: {exc}") from exc
 
 
@@ -106,11 +109,10 @@ def _ideal_from_args(args) -> monomials.MonomialIdeal:
     if getattr(args, "ideal_file", None):
         try:
             with open(args.ideal_file) as fh:
-                data = json.load(fh)
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("input-error", f"cannot read {args.ideal_file}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DomainError("input-error", f"malformed JSON in {args.ideal_file}: {exc}") from exc
+        data = _json_flag(text, args.ideal_file)
     elif getattr(args, "ideal", None):
         data = _json_flag(args.ideal, "--ideal")
     else:
@@ -256,10 +258,12 @@ def _cmd_aci_monomial(args):
 def _cmd_betti_oracle(args):
     from . import koszul
     ideal = _ideal_from_args(args)
-    table = koszul.betti_numbers(ideal)
-    payload = {"table": table.to_json()}
+    expected = None     # read before the oracle runs, so a bad table costs nothing
     if args.expected:
         expected = BettiTable.from_json(_json_flag(args.expected, "--expected"))
+    table = koszul.betti_numbers(ideal)
+    payload = {"table": table.to_json()}
+    if expected is not None:
         ok, diffs = koszul.compare_tables(table, expected)
         payload["matches"] = ok
         payload["diff"] = diffs
@@ -454,11 +458,6 @@ def _add_route(p: argparse.ArgumentParser, route: Route) -> None:
     p.set_defaults(route=route)
 
 
-def schema_name(args) -> str:
-    """Name of the schema that the payload of a parsed route must match."""
-    return args.route.schema
-
-
 def run(argv) -> CommandResult:
     """Parse, execute and validate one command.
 
@@ -469,7 +468,7 @@ def run(argv) -> CommandResult:
     try:
         args = build_parser(argv).parse_args(argv)
         payload, provenance = globals()[args.route.handler](args)
-        validate_payload(schema_name(args), payload)
+        validate_payload(args.route.schema, payload)
         result = CommandResult("ok", payload=payload, provenance=provenance,
                                show_envelope=args.envelope)
         validate_payload("envelope", result.envelope())

@@ -122,9 +122,11 @@ class BettiTable:
     levels: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.c < 1:
-            raise DomainError("input-error", f"need c >= 1, got c = {self.c}")
-        lvls = tuple(tuple(sorted(map(int, level))) for level in self.levels)
+        if type(self.c) is not int or self.c < 1:
+            raise DomainError("input-error", f"need an integer c >= 1, got c = {self.c!r}")
+        if not all(type(j) is int for level in self.levels for j in level):  # a bool is not
+            raise DomainError("input-error", f"twists must be integers, got {self.levels}")
+        lvls = tuple(tuple(sorted(level)) for level in self.levels)
         if len(lvls) != self.c + 1:
             raise DomainError(
                 "input-error",
@@ -161,7 +163,7 @@ class BettiTable:
     @classmethod
     def from_json(cls, data: dict) -> "BettiTable":
         try:
-            return cls(int(data["c"]), tuple(tuple(level) for level in data["levels"]))
+            return cls(data["c"], data["levels"])
         except DomainError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

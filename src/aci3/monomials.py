@@ -27,10 +27,10 @@ _SHORT_NAMES = ("x", "y", "z", "w")
 # standard_monomials: the size of the exponent box below the pure powers,
 # checked before it is walked (code too-large)
 MAX_STANDARD_BOX = 10_000
-# from_json: the number of generators read from JSON, checked before they
-# are minimalised, which is quadratic in it (code too-large).  An ideal whose
-# box passes has its c pure powers and an antichain of the box as minimal
-# generators: at most 344 more in 3 variables and 670 in 4.
+# from_json: the number of generators read from JSON, checked before the
+# constructor minimalises them, which is quadratic in it (code too-large).
+# An ideal whose box passes has its c pure powers and an antichain of the
+# box as minimal generators: at most 344 more in 3 variables and 670 in 4.
 MAX_JSON_GENERATORS = 1000
 
 
@@ -57,39 +57,37 @@ def format_monomial(m: Monomial, names=None, sep: str = "") -> str:
     return sep.join(parts) or "1"
 
 
-def _canonical_gens(gens) -> tuple[Monomial, ...]:
-    # ascending degree, then descending lex, mirroring the usual x > y > z display
-    return tuple(sorted(set(gens), key=lambda m: (sum(m), tuple(-e for e in m))))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal (antichain) generating set."""
+    """Monomial ideal given by its minimal (antichain) generating set.
+
+    The constructor is the one path from any generator list to that set.
+    Each exponent vector must be c integers >= 0 (a bool is not one).  The
+    distinct vectors are sorted by ascending degree, then descending lex
+    (the x > y > z display order), and each one that no kept generator
+    divides is kept: a proper divisor has a lower degree, so one pass over
+    the kept ones suffices.
+    """
 
     c: int
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if self.c < 1:
-            raise DomainError("input-error", f"need c >= 1, got c = {self.c}")
-        gens = []
+        c = self.c
+        if type(c) is not int or c < 1:
+            raise DomainError("input-error", f"need an integer c >= 1, got c = {c!r}")
+        distinct = set()
         for g in self.gens:
-            g = tuple(int(e) for e in g)
-            if len(g) != self.c:
-                raise DomainError("input-error", f"exponent vector {g} has length != {self.c}")
-            if any(e < 0 for e in g):
-                raise DomainError("input-error", f"negative exponent in {g}")
-            gens.append(g)
-        gens = _canonical_gens(gens)
-        for g in gens:
-            for other in gens:
-                if other is not g and divides(other, g):
-                    raise DomainError(
-                        "input-error",
-                        f"{format_monomial(other)} divides {format_monomial(g)}: "
-                        "generators are not an antichain (use minimalize)",
-                    )
-        object.__setattr__(self, "gens", gens)
+            g = tuple(g)
+            if len(g) != c or not all(type(e) is int and e >= 0 for e in g):
+                raise DomainError("input-error", f"bad exponent vector {list(g)} for c = {c}: "
+                                                 f"need {c} integers >= 0")
+            distinct.add(g)
+        kept: list[Monomial] = []
+        for g in sorted(distinct, key=lambda m: (sum(m), tuple(-e for e in m))):
+            if not any(divides(m, g) for m in kept):
+                kept.append(g)
+        object.__setattr__(self, "gens", tuple(kept))
 
     @property
     def is_zero(self) -> bool:
@@ -113,12 +111,11 @@ class MonomialIdeal:
     @classmethod
     def from_json(cls, data: dict) -> "MonomialIdeal":
         try:
-            c = int(data["c"])
-            gens = data["gens"]
+            c, gens = data["c"], data["gens"]
             if len(gens) > MAX_JSON_GENERATORS:
                 raise DomainError("too-large", f"{len(gens)} generators "
                                                f"(more than {MAX_JSON_GENERATORS})")
-            return minimalize([tuple(g) for g in gens], c)
+            return cls(c, gens)
         except DomainError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -126,19 +123,9 @@ class MonomialIdeal:
 
 
 def minimalize(gens, c: int) -> MonomialIdeal:
-    """Divisibility-minimal subset of the given generators (same ideal)."""
-    cleaned = []
-    for g in gens:
-        g = tuple(int(e) for e in g)
-        if len(g) != c or any(e < 0 for e in g):
-            raise DomainError("input-error", f"bad exponent vector {g} for c = {c}")
-        cleaned.append(g)
-    cleaned = sorted(set(cleaned), key=sum)
-    minimal: list[Monomial] = []
-    for g in cleaned:
-        if not any(divides(m, g) for m in minimal):
-            minimal.append(g)
-    return MonomialIdeal(c, tuple(minimal))
+    """The ideal generated by ``gens``: ``MonomialIdeal(c, gens)``, which
+    keeps the minimal ones."""
+    return MonomialIdeal(c, gens)
 
 
 def is_artinian(ideal: MonomialIdeal) -> bool:
@@ -224,13 +211,13 @@ def hilbert_function(ideal: MonomialIdeal) -> HilbertFunction:
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.c != b.c:
         raise DomainError("input-error", "variable counts differ")
-    return minimalize([m_lcm(ga, gb) for ga in a.gens for gb in b.gens], a.c)
+    return MonomialIdeal(a.c, [m_lcm(ga, gb) for ga in a.gens for gb in b.gens])
 
 
 def _colon_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """ideal : m, generated by the positive parts of g - m, g / gcd(g, m)."""
-    return minimalize([tuple(max(x - y, 0) for x, y in zip(g, m)) for g in ideal.gens],
-                      ideal.c)
+    return MonomialIdeal(ideal.c, [tuple(max(x - y, 0) for x, y in zip(g, m))
+                                   for g in ideal.gens])
 
 
 def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -104,14 +104,17 @@ def _sorted_triples(lo: int, hi: int):
 
 @_check("monomial/aci-hilbert-equals-ci")
 def check_aci_hilbert(max_degree: int = 5) -> CheckResult:
-    """The monomial almost complete intersection has the complete
-    intersection's Hilbert function, for every degree triple and admissible h."""
+    """The monomial almost complete intersection has four minimal generators
+    and the complete intersection's Hilbert function, for every degree
+    triple and admissible h."""
     from . import monomials
     cases = 0
     for degs in _sorted_triples(2, max_degree):
         expected = ci_hilbert(degs)
         for h in range(degs[2] + 1, degs[2] + degs[0]):
             ideal = monomials.aci_construction(degs, h)
+            if len(ideal.gens) != len(degs) + 1:     # the CI has the same Hilbert function
+                raise _Failed(f"{len(ideal.gens)} minimal generators at degrees {degs}, h = {h}")
             if monomials.hilbert_function(ideal) != expected:
                 raise _Failed(f"mismatch at degrees {degs}, h = {h}")
             cases += 1

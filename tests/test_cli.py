@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aci3 import DomainError, cli, export_cas, pfaffians, script_is_balanced, verify
-from aci3.cli import build_parser, main, run, schema_name, validate_payload
+from aci3.cli import build_parser, main, run, validate_payload
 from aci3.schemacheck import compile_schema
 
 
@@ -196,9 +196,36 @@ class TestInputErrors:
         ["betti", "oracle", "--ideal", '{"c":"x","gens":[[2,0,0]]}'],
         ["betti", "oracle", "--ideal", '{"c":3,"gens":"ab"}'],
         ["hf", "from-betti", "--table", '{"c":3,"levels":[[0],["a"],[],[]]}'],
+        # each once read as an integer by truncation or by int()
+        ["betti", "oracle", "--ideal", '{"c":3,"gens":[[2.5,0,0],[0,2,0],[0,0,2]]}'],
+        ["betti", "oracle", "--ideal", '{"c":3,"gens":[["2",0,0],[0,2,0],[0,0,2]]}'],
+        ["betti", "oracle", "--ideal", '{"c":3,"gens":[[true,0,0],[0,2,0],[0,0,2]]}'],
+        ["betti", "oracle", "--ideal", '{"c":3.9,"gens":[[2,0,0],[0,2,0],[0,0,2]]}'],
+        ["betti", "oracle", "--ideal", '{"c":"3","gens":[[2,0,0],[0,2,0],[0,0,2]]}'],
+        ["betti", "oracle", "--ideal", '{"c":3,"gens":[[2,0,0],[0,2,0],[0,0,2]]}',
+         "--expected", '{"c":3,"levels":[[0],[2.9,2,2],[4,4,4],[6]]}'],
+        ["hf", "from-betti", "--table", '{"c":3.7,"levels":[[0],[2,2,2],[4,4,4],[6]]}'],
+        ["hf", "from-betti", "--table", '{"c":3,"levels":[[0],[2,2,true],[4,4,4],[6]]}'],
+        ["liaison", "cone", "--table", '{"c":3,"levels":[[0],[2.5,2,2],[4,4,4],[6]]}',
+         "--z", "2,2,2"],
+        ["export", "cas", "--kind", "monomial",
+         "--ideal", '{"c":3,"gens":[[2.5,0,0],[0,2,0],[0,0,2]]}'],
     ])
     def test_non_integer_json_values(self, argv, capsys):
         assert json_error(argv, capsys) == "input-error"
+
+    @pytest.mark.parametrize("data", [
+        b'{"c":' + b"9" * 5000 + b"}",    # past Python's integer digit limit
+        b"[" * 100_000,                   # nested too deep to decode
+        b"\xff",                          # not UTF-8
+    ], ids=["long-integer", "deep-nesting", "not-utf8"])
+    def test_undecodable_json(self, data, tmp_path, capsys):
+        path = tmp_path / "ideal.json"
+        path.write_bytes(data)
+        assert json_error(["betti", "oracle", "--ideal-file", str(path)], capsys) == "input-error"
+        if data.isascii():
+            argv = ["hf", "from-betti", "--table", data.decode()]
+            assert json_error(argv, capsys) == "input-error"
 
     @pytest.mark.parametrize("argv", [
         ["classify", "tmax", "--a", "x"],
@@ -406,7 +433,7 @@ class TestRoutes:
     def test_every_route_payload_passes_jsonschema(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
         schemas = schema_files()
-        name = schema_name(build_parser(argv).parse_args(argv))
+        name = build_parser(argv).parse_args(argv).route.schema
         jsonschema.validate(json.loads(stdout_of(argv, capsys)), schemas[name])
         envelope = json.loads(stdout_of(argv + ["--envelope"], capsys))
         jsonschema.validate(envelope, schemas["envelope"])
@@ -550,6 +577,83 @@ class TestIntegerFlagFuzz:
             assert result.code in NUMERIC_ERRORS, (argv, result.code, result.message)
 
 
+_CI_222 = '{"c":3,"gens":[[2,0,0],[0,2,0],[0,0,2]]}'
+# Each JSON flag, as (argv before its value, what it reads, argv after it).
+JSON_FLAGS = {
+    "betti oracle --ideal": (["betti", "oracle", "--ideal"], "ideal", []),
+    "betti oracle --expected": (["betti", "oracle", "--ideal", _CI_222, "--expected"], "table", []),
+    "hf from-betti --table": (["hf", "from-betti", "--table"], "table", []),
+    "liaison cone --table": (["liaison", "cone", "--table"], "table", ["--z", "2,2,2"]),
+    "export cas --ideal": (["export", "cas", "--kind", "monomial", "--ideal"], "ideal", []),
+    "export cas --expected": (["export", "cas", "--kind", "monomial", "--ideal", _CI_222,
+                               "--expected"], "table", []),
+}
+NON_INTEGERS = st.none() | st.booleans() | st.floats() | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    NON_INTEGERS | st.integers(-2, 9),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["c", "gens", "levels"]), inner, max_size=3),
+    max_leaves=12)
+
+
+def _slot(ints):
+    # an integer two times in three, else any other JSON leaf
+    return st.one_of(ints, ints, NON_INTEGERS)
+
+
+# The inputs each flag reads, with every integer slot drawn by _slot.
+JSON_INPUTS = {
+    "ideal": st.fixed_dictionaries({
+        "c": _slot(st.integers(1, 4)),
+        "gens": st.lists(st.lists(_slot(st.integers(0, 4)), max_size=4), max_size=5)}),
+    "table": st.fixed_dictionaries({
+        "c": _slot(st.integers(1, 4)),
+        "levels": st.lists(st.lists(_slot(st.integers(0, 12)), max_size=4), max_size=5)}),
+}
+
+
+@pytest.fixture(scope="module")
+def output_dir(tmp_path_factory):
+    """ACI3_OUTPUT_DIR in a temporary directory, for the export cas calls."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ACI3_OUTPUT_DIR", str(tmp_path_factory.mktemp("fuzz")))
+        yield
+
+
+def _run_json_flag(flag, value):
+    before, _, after = JSON_FLAGS[flag]
+    argv = before + [value] + after
+    start = time.perf_counter()
+    result = run(argv)
+    assert time.perf_counter() - start < 2.0, argv
+    if result.status == "ok":
+        schema = build_parser(argv).parse_args(argv).route.schema
+        reference_validator(schema).validate(result.payload)
+    else:
+        assert result.code != "internal-error", (argv, result.message)
+    return result
+
+
+@pytest.mark.usefixtures("output_dir")
+class TestJsonFlagFuzz:
+    @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_payload_or_json_error(self, flag, data):
+        value = data.draw(JSON_VALUES.map(json.dumps) | st.text(max_size=12), label="value")
+        _run_json_flag(flag, value)
+
+    @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_non_integer_leaf_is_an_input_error(self, flag, data):
+        value = data.draw(JSON_INPUTS[JSON_FLAGS[flag][1]], label="value")
+        rows = value.get("gens", value.get("levels"))
+        result = _run_json_flag(flag, json.dumps(value))
+        if any(type(v) is not int for v in [value["c"], *(v for row in rows for v in row)]):
+            assert result.code == "input-error", (value, result.status, result.message)
+
+
 @pytest.fixture(scope="module")
 def tour_instances(tmp_path_factory):
     """(schema name, instance) for the payload of each tour call, plus an ok
@@ -560,7 +664,7 @@ def tour_instances(tmp_path_factory):
         for argv in TOUR:
             result = run(argv)
             assert result.status == "ok", result.message
-            instances.append((schema_name(build_parser().parse_args(argv)), result.payload))
+            instances.append((build_parser().parse_args(argv).route.schema, result.payload))
     for argv in (TOUR[0], ["hf", "ci", "--degrees", "0"]):
         instances.append(("envelope", run(argv).envelope()))
     return instances

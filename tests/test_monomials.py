@@ -115,9 +115,50 @@ class TestMinimalize:
         ideal = minimalize([(0, 0), (1, 2)], 2)
         assert ideal.is_unit
 
-    def test_non_antichain_constructor_rejected(self):
-        with pytest.raises(DomainError, match="antichain"):
-            MonomialIdeal(2, ((1, 0), (2, 0)))
+    def test_constructor_minimalizes(self):
+        # the constructor is the one path to the minimal generators
+        assert MonomialIdeal(2, ((2, 0), (1, 0))).gens == ((1, 0),)
+        gens = [[3, 0], [1, 1], [3, 0], [0, 1]]
+        assert MonomialIdeal(2, gens).gens == ((0, 1), (3, 0))
+        assert minimalize(gens, 2) == MonomialIdeal(2, gens)
+
+    @pytest.mark.parametrize("c, gens", [
+        (2, [(2.5, 0)]), (2, [("2", 0)]), (2, [(True, 0)]), (2, [(2, -1)]), (2, [(2, 0, 0)]),
+        (2.0, [(2, 0)]), ("2", [(2, 0)]), (True, [(2,)]), (0, []),
+    ], ids=repr)
+    def test_exponents_and_c_must_be_integers(self, c, gens):
+        with pytest.raises(DomainError) as exc:
+            MonomialIdeal(c, gens)
+        assert exc.value.code == "input-error"
+
+    @given(st.integers(1, 4).flatmap(lambda c: st.tuples(
+        st.just(c), st.lists(st.tuples(*[st.integers(0, 4)] * c), max_size=12))))
+    def test_canonical_minimal_generators(self, case):
+        c, gens = case
+        ideal = MonomialIdeal(c, gens)
+        # an antichain, in ascending degree and then descending lex order
+        assert not any(divides(m, g) for m, g in combinations(ideal.gens, 2))
+        assert not any(divides(g, m) for m, g in combinations(ideal.gens, 2))
+        keys = [(sum(g), tuple(-e for e in g)) for g in ideal.gens]
+        assert keys == sorted(keys)
+        # the same ideal: its generators are given ones, and divide every given one
+        assert set(ideal.gens) <= set(gens)
+        assert all(ideal.contains(g) for g in gens)
+        # idempotent
+        assert MonomialIdeal(c, ideal.gens) == ideal
+
+    def test_one_pass_over_the_kept_generators(self, monkeypatch):
+        # an antichain of n generators costs n(n - 1)/2 divisibility tests
+        gens = [(i, j, 44 - i - j) for i in range(45) for j in range(45 - i)][:1000]
+        calls = 0
+
+        def counted(d, m):
+            nonlocal calls
+            calls += 1
+            return divides(d, m)
+        monkeypatch.setattr(monomials, "divides", counted)
+        assert len(MonomialIdeal(3, gens).gens) == 1000
+        assert calls <= 1000 * 999 // 2
 
 
 class TestHilbertFunction:
@@ -318,9 +359,9 @@ class TestHelpers:
         gens = [[k, 0] for k in range(1, MAX_JSON_GENERATORS + 1)]
         assert MonomialIdeal.from_json({"c": 2, "gens": gens}).gens == ((1, 0),)
 
-        def no_minimalize(*args):
-            raise AssertionError("generators minimalised")
-        monkeypatch.setattr(monomials, "minimalize", no_minimalize)
+        def no_divides(*args):
+            raise AssertionError("generators compared")
+        monkeypatch.setattr(monomials, "divides", no_divides)
         with pytest.raises(DomainError, match="1001 generators") as exc:
             MonomialIdeal.from_json({"c": 2, "gens": gens + [[0, 1]]})
         assert exc.value.code == "too-large"

@@ -25,7 +25,7 @@ from aci3 import (
     sub_pfaffians,
     witness_ideals_a3_h5,
 )
-from aci3.cli import build_parser, main, run, schema_name, validate_payload
+from aci3.cli import build_parser, main, run, validate_payload
 from aci3.intmat import int_det
 from aci3.verify import random_alternating
 
@@ -375,7 +375,7 @@ class TestSubPfaffianPayload:
         def payload(*argv):
             args = parser.parse_args(["pfaffian", *argv])
             out, _ = getattr(cli, args.route.handler)(args)
-            validate_payload(schema_name(args), out)
+            validate_payload(args.route.schema, out)
             return json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
 
         deltas = [delta for length in (3, 5, 7)
