@@ -70,7 +70,7 @@ def _pfaffian_script(variant: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _monomial_script(ideal: MonomialIdeal, expected) -> str:
+def _monomial_script(ideal: MonomialIdeal, expected: BettiTable | None) -> str:
     names = var_names(ideal.c)
     lines = [
         "-- Betti table of an artinian monomial quotient",
@@ -86,23 +86,20 @@ def _monomial_script(ideal: MonomialIdeal, expected) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_cas(kind: str, payload: dict) -> str:
-    """Macaulay2 script for the given claim; byte-stable in the payload.
+def export_cas(kind: str, ideal: MonomialIdeal | None = None,
+               expected: BettiTable | None = None) -> str:
+    """Macaulay2 script for the given claim; byte-stable in its arguments.
 
     Kinds: ``pfaffian-q`` and ``pfaffian-w`` (the two witness ideals for
-    (a, h) = (3, 5), no further payload), and ``monomial`` (payload carries
-    ``ideal`` and optionally ``expected`` in their JSON forms).
+    (a, h) = (3, 5); ``ideal`` and ``expected`` are ignored), and
+    ``monomial`` (the script of ``ideal``, with ``expected``, if given, as
+    a comment).
     """
     if kind in ("pfaffian-q", "pfaffian-w"):
         return _pfaffian_script(kind[-1])
     if kind == "monomial":
-        try:
-            ideal = MonomialIdeal.from_json(payload["ideal"])
-        except KeyError as exc:
-            raise DomainError("input-error", "monomial export needs an ideal") from exc
-        expected = None
-        if payload.get("expected") is not None:
-            expected = BettiTable.from_json(payload["expected"])
+        if ideal is None:
+            raise DomainError("input-error", "monomial export needs an ideal")
         if ideal.is_zero or ideal.is_unit:
             raise DomainError("input-error", "export needs a proper nonzero ideal")
         return _monomial_script(ideal, expected)

@@ -340,9 +340,9 @@ def _cmd_pfaffian_alt(args):
     from . import pfaffians
     m = pfaffians.alt_matrix(args.delta.ints())
     entries = [
-        {"i": i, "j": j, "degree": m.entry_degrees[(i, j)],
+        {"i": i, "j": j, "degree": m.theta - m.delta[i - 1] - m.delta[j - 1],
          "terms": m.entry(i, j).to_json()}
-        for (i, j) in sorted(m.entry_degrees)
+        for i in range(1, m.size + 1) for j in range(i + 1, m.size + 1)
     ]
     payload = {
         "delta": list(m.delta),
@@ -394,12 +394,13 @@ def _cmd_export_cas(args):
     import hashlib
 
     from . import cas
-    payload_in: dict = {}
+    ideal = expected = None     # the pfaffian kinds read neither flag
     if args.kind == "monomial":
-        payload_in["ideal"] = _ideal_from_args(args).to_json()
-        if args.expected:
-            payload_in["expected"] = _json_flag(args.expected, "--expected")
-    script = cas.export_cas(args.kind, payload_in)
+        ideal = _ideal_from_args(args)
+        data = _json_flag(args.expected, "--expected") if args.expected else None
+        if data is not None:
+            expected = BettiTable.from_json(data)
+    script = cas.export_cas(args.kind, ideal, expected)
     path = _write_output(args.out or f"{args.kind}.m2", script)
     digest = hashlib.sha256(script.encode()).hexdigest()
     payload = {"kind": args.kind, "path": path,

@@ -15,14 +15,17 @@ yields the same homology dimensions; this one is fixed for reproducibility.
 The differential preserves the Z^c multidegree b = m + 1_S, so each strand
 is the direct sum of its multidegree blocks.  The block of b has, in
 position i, the i-subsets S with b - 1_S a standard monomial; for c = 3 its
-matrices are at most 3 x 3.  ``betti_numbers`` walks the blocks one degree
-at a time and reads beta_{i,b} = |bases_i| - rank M_i - rank M_{i+1} off each
-block; ``strand_matrices`` builds a whole strand and is kept as the
-cross-check the tests compare against.
+matrices are at most 3 x 3.  When b is itself standard, every b - 1_S with
+S inside supp(b) is standard too, so the block is the Koszul complex of the
+full simplex on supp(b): exact unless b = 0, which carries beta_{0,0} = 1
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
+``betti_numbers`` therefore ranks only the blocks of non-standard b and
+reads beta_{i,b} = |bases_i| - rank M_i - rank M_{i+1} off each;
+``strand_matrices`` builds a whole strand and is kept as the cross-check
+the tests compare against.
 
 Matrices have entries in {-1, 0, 1}; ranks are computed by fraction-free
 integer elimination, so the answers are exact characteristic-zero values.
-Strands beyond internal degree (socle degree + c) are zero and are skipped.
 
 This module is the in-process oracle against which every displayed
 resolution with a monomial witness is checked.
@@ -31,35 +34,26 @@ resolution with a monomial witness is checked.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .errors import DomainError
 from .hilbert import BettiTable
 from .intmat import int_rank
 from .monomials import MonomialIdeal, standard_monomials
 
-MAX_STRAND_DIM = 10_000
 MAX_VARIABLES = 4
 
 
 def _check_instance(ideal: MonomialIdeal) -> list[list[tuple[int, ...]]]:
+    """The standard monomials by degree; the exponent-box cap of
+    ``standard_monomials`` bounds every strand."""
     if ideal.c > MAX_VARIABLES:
         raise DomainError("too-large", f"supported up to {MAX_VARIABLES} variables, got {ideal.c}")
     if ideal.is_unit:
         raise DomainError("input-error", "quotient by the unit ideal is the zero algebra")
-    std = standard_monomials(ideal)  # raises on non-artinian input
-    c = ideal.c
-    worst = max(
-        comb(c, i) * len(std[d])
-        for i in range(c + 1)
-        for d in range(len(std))
-    )
-    if worst > MAX_STRAND_DIM:
-        raise DomainError("too-large", f"instance too large: strand dimension {worst}")
-    return std
+    return standard_monomials(ideal)  # raises on non-artinian input
 
 
-def strand_matrices(ideal: MonomialIdeal, j: int, std=None) -> list[list[list[int]]]:
+def strand_matrices(ideal: MonomialIdeal, j: int) -> list[list[list[int]]]:
     """Differential matrices of the degree-j Koszul strand.
 
     Returns [M_1, ..., M_c] where M_i is the matrix of the map from position
@@ -67,8 +61,7 @@ def strand_matrices(ideal: MonomialIdeal, j: int, std=None) -> list[list[list[in
     whole-strand cross-check of ``betti_numbers``, and so tests can assert
     that consecutive differentials compose to zero.
     """
-    if std is None:
-        std = _check_instance(ideal)
+    std = _check_instance(ideal)
     c = ideal.c
 
     def basis(i: int):
@@ -97,29 +90,27 @@ def strand_matrices(ideal: MonomialIdeal, j: int, std=None) -> list[list[list[in
     return mats
 
 
-def strand_blocks(ideal: MonomialIdeal, j: int, std=None):
-    """The degree-j Koszul strand split into its multidegree blocks.
+def multidegree_blocks(ideal: MonomialIdeal):
+    """The Koszul blocks of the non-standard multidegrees, the only ones
+    besides b = 0 that can carry homology.
 
-    Returns a list of (b, bases, mats), one per multidegree b with |b| = j,
-    in increasing order of b.  bases[i] lists the i-subsets S with b - 1_S
-    standard, and mats[i-1] is the block of the map from position i to
-    position i-1 (rows indexed by bases[i-1]), with the signs of
+    Returns a list of (b, bases, mats), in increasing order of b.  bases[i]
+    lists the i-subsets S with b - 1_S standard (bases[0] is empty, since b
+    is not standard), and mats[i-1] is the block of the map from position i
+    to position i-1 (rows indexed by bases[i-1]), with the signs of
     ``strand_matrices``.
     """
-    if std is None:
-        std = _check_instance(ideal)
+    std = _check_instance(ideal)
     c = ideal.c
+    standard = {m for bucket in std for m in bucket}
     bases_of: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
-    for i in range(c + 1):
-        d = j - i
-        if not 0 <= d < len(std):
-            continue
+    for i in range(1, c + 1):
         for S in combinations(range(c), i):
-            for m in std[d]:
-                b = list(m)
-                for s in S:
-                    b[s] += 1
-                b = tuple(b)
+            ones = [int(k in S) for k in range(c)]
+            for m in standard:
+                b = tuple([e + o for e, o in zip(m, ones)])
+                if b in standard:
+                    continue
                 if b not in bases_of:
                     bases_of[b] = [[] for _ in range(c + 1)]
                 bases_of[b][i].append(S)
@@ -144,20 +135,13 @@ def strand_blocks(ideal: MonomialIdeal, j: int, std=None):
 
 def betti_numbers(ideal: MonomialIdeal) -> BettiTable:
     """Exact graded Betti table of R/I for an artinian monomial ideal I."""
-    std = _check_instance(ideal)
-    c = ideal.c
-    socle = len(std) - 1
-    levels: list[list[int]] = [[] for _ in range(c + 1)]
-    for j in range(0, socle + c + 1):
-        betti = [0] * (c + 1)
-        for _, bases, mats in strand_blocks(ideal, j, std):
-            # ranks[i] = rank of the block map from position i to i-1; zero at both ends
-            ranks = [0] + [int_rank(mat) if mat and mat[0] else 0 for mat in mats] + [0]
-            for i, basis in enumerate(bases):
-                betti[i] += len(basis) - ranks[i] - ranks[i + 1]
-        for i in range(c + 1):
-            levels[i].extend([j] * betti[i])
-    return BettiTable(c, tuple(tuple(sorted(level)) for level in levels))
+    levels: list[list[int]] = [[0]] + [[] for _ in range(ideal.c)]
+    for b, bases, mats in multidegree_blocks(ideal):
+        # ranks[i] = rank of the block map from position i to i-1; zero at both ends
+        ranks = [0] + [int_rank(mat) if mat and mat[0] else 0 for mat in mats] + [0]
+        for i, basis in enumerate(bases):
+            levels[i].extend([sum(b)] * (len(basis) - ranks[i] - ranks[i + 1]))
+    return BettiTable(ideal.c, tuple(tuple(sorted(level)) for level in levels))
 
 
 def compare_tables(computed: BettiTable, expected: BettiTable):

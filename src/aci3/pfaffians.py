@@ -223,11 +223,10 @@ def _checked(packed: dict) -> dict:
 class AlternatingMatrix:
     """Symbolic alternating matrix with zero diagonal, stored upper-triangular.
 
-    Indices are 1-based, matching the usual display; ``entry_degrees`` holds
-    the expected degree theta - d_i - d_j of each upper entry (which may be
-    <= 0, in which case the entry is zero).  Each entry of ``upper`` is a
-    single term, as ``alt_matrix`` builds it; the pfaffians refuse any
-    other.
+    Indices are 1-based, matching the usual display.  Entry (i, j) has degree
+    theta - d_i - d_j, and is zero when that is <= 0.  Each entry of
+    ``upper`` is a single term, as ``alt_matrix`` builds it; the pfaffians
+    refuse any other.
     """
 
     delta: tuple[int, ...]
@@ -235,7 +234,6 @@ class AlternatingMatrix:
     size: int
     ring: PolyRing
     upper: dict = field(repr=False)  # (i, j) with i < j -> packed nonzero entry
-    entry_degrees: dict = field(repr=False)
 
     def entry(self, i: int, j: int) -> SparsePolynomial:
         if not (1 <= i <= self.size and 1 <= j <= self.size):
@@ -285,13 +283,11 @@ def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> Alternatin
         raise DomainError("theta-not-integral", f"theta = {sum(degs)}/{d.n} is not an integer")
     pairs, ring = _alt_ring(m, tuple(extra_vars))
     upper = {}
-    entry_degrees = {}
     for ij, i, j, shift in pairs:
         e = theta - degs[i] - degs[j]
-        entry_degrees[ij] = e
         if e > 0:
             upper[ij] = {e << shift | e: 1}
-    return AlternatingMatrix(degs, theta, m, ring, upper, entry_degrees)
+    return AlternatingMatrix(degs, theta, m, ring, upper)
 
 
 def _check_subset(m: AlternatingMatrix, subset) -> tuple[int, ...]:

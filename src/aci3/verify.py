@@ -376,10 +376,10 @@ def check_cas_scripts() -> CheckResult:
     """Exported scripts are nonempty, structurally parse-clean, and
     byte-stable across repeated generation."""
     from . import cas, monomials
-    monomial_payload = {"ideal": monomials.aci_construction((2, 2, 3), 4).to_json()}
-    for kind, payload in (("pfaffian-q", {}), ("pfaffian-w", {}), ("monomial", monomial_payload)):
-        first = cas.export_cas(kind, payload)
-        second = cas.export_cas(kind, payload)
+    ideal = monomials.aci_construction((2, 2, 3), 4)
+    for kind in cas.EXPORT_KINDS:
+        first = cas.export_cas(kind, ideal)
+        second = cas.export_cas(kind, ideal)
         if first != second:
             raise _Failed(f"{kind}: not byte-stable")
         if not first.strip() or not cas.script_is_balanced(first):

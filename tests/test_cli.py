@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aci3 import DomainError, cli, export_cas, pfaffians, script_is_balanced, verify
+from aci3 import (DomainError, MonomialIdeal, cli, export_cas, pfaffians, script_is_balanced,
+                  verify)
 from aci3.cli import build_parser, main, run, validate_payload
 from aci3.schemacheck import compile_schema
 
@@ -579,12 +580,16 @@ class TestIntegerFlagFuzz:
 
 _CI_222 = '{"c":3,"gens":[[2,0,0],[0,2,0],[0,0,2]]}'
 # Each JSON flag, as (argv before its value, what it reads, argv after it).
+# An --ideal-file flag gets the value written to a file, and that file's path.
 JSON_FLAGS = {
     "betti oracle --ideal": (["betti", "oracle", "--ideal"], "ideal", []),
+    "betti oracle --ideal-file": (["betti", "oracle", "--ideal-file"], "ideal", []),
     "betti oracle --expected": (["betti", "oracle", "--ideal", _CI_222, "--expected"], "table", []),
     "hf from-betti --table": (["hf", "from-betti", "--table"], "table", []),
     "liaison cone --table": (["liaison", "cone", "--table"], "table", ["--z", "2,2,2"]),
     "export cas --ideal": (["export", "cas", "--kind", "monomial", "--ideal"], "ideal", []),
+    "export cas --ideal-file": (["export", "cas", "--kind", "monomial", "--ideal-file"],
+                                "ideal", []),
     "export cas --expected": (["export", "cas", "--kind", "monomial", "--ideal", _CI_222,
                                "--expected"], "table", []),
 }
@@ -613,15 +618,21 @@ JSON_INPUTS = {
 
 
 @pytest.fixture(scope="module")
-def output_dir(tmp_path_factory):
-    """ACI3_OUTPUT_DIR in a temporary directory, for the export cas calls."""
+def fuzz_dir(tmp_path_factory):
+    """A temporary directory, set as ACI3_OUTPUT_DIR for the export cas
+    calls, that also holds the --ideal-file inputs."""
+    path = tmp_path_factory.mktemp("fuzz")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("ACI3_OUTPUT_DIR", str(tmp_path_factory.mktemp("fuzz")))
-        yield
+        mp.setenv("ACI3_OUTPUT_DIR", str(path))
+        yield path
 
 
-def _run_json_flag(flag, value):
+def _run_json_flag(flag, value, fuzz_dir):
     before, _, after = JSON_FLAGS[flag]
+    if flag.endswith("--ideal-file"):
+        path = fuzz_dir / "ideal.json"
+        path.write_text(value, encoding="utf-8")
+        value = str(path)
     argv = before + [value] + after
     start = time.perf_counter()
     result = run(argv)
@@ -634,22 +645,21 @@ def _run_json_flag(flag, value):
     return result
 
 
-@pytest.mark.usefixtures("output_dir")
 class TestJsonFlagFuzz:
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     @settings(max_examples=40)
     @given(data=st.data())
-    def test_payload_or_json_error(self, flag, data):
+    def test_payload_or_json_error(self, flag, data, fuzz_dir):
         value = data.draw(JSON_VALUES.map(json.dumps) | st.text(max_size=12), label="value")
-        _run_json_flag(flag, value)
+        _run_json_flag(flag, value, fuzz_dir)
 
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     @settings(max_examples=40)
     @given(data=st.data())
-    def test_non_integer_leaf_is_an_input_error(self, flag, data):
+    def test_non_integer_leaf_is_an_input_error(self, flag, data, fuzz_dir):
         value = data.draw(JSON_INPUTS[JSON_FLAGS[flag][1]], label="value")
         rows = value.get("gens", value.get("levels"))
-        result = _run_json_flag(flag, json.dumps(value))
+        result = _run_json_flag(flag, json.dumps(value), fuzz_dir)
         if any(type(v) is not int for v in [value["c"], *(v for row in rows for v in row)]):
             assert result.code == "input-error", (value, result.status, result.message)
 
@@ -800,7 +810,7 @@ class TestPinnedPayloads:
     """Exact outputs of routes whose implementation is shared with the library."""
 
     def test_cas_script_digests(self):
-        digests = {kind: hashlib.sha256(export_cas(kind, {}).encode()).hexdigest()
+        digests = {kind: hashlib.sha256(export_cas(kind).encode()).hexdigest()
                    for kind in ("pfaffian-q", "pfaffian-w")}
         assert digests == {
             "pfaffian-q": "7be3f94acd911dca200620387a104436e93ac29cce6af4235690852f1db4b034",
@@ -867,22 +877,35 @@ class TestExportCas:
         assert "ideal(x^2, y^2, z^3)" in text
         assert got["path"].endswith("ci.m2")
 
+    def test_monomial_ideal_built_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        built = []
+        post_init = MonomialIdeal.__post_init__
+
+        def counted(ideal):
+            built.append(ideal.c)
+            post_init(ideal)
+
+        monkeypatch.setattr(MonomialIdeal, "__post_init__", counted)
+        payload(["export", "cas", "--kind", "monomial", "--ideal", _CI_222])
+        assert built == [3]
+
     def test_byte_stability(self):
         for kind in ("pfaffian-q", "pfaffian-w"):
-            assert export_cas(kind, {}) == export_cas(kind, {})
+            assert export_cas(kind) == export_cas(kind)
 
     def test_scripts_balanced(self):
         for kind in ("pfaffian-q", "pfaffian-w"):
-            assert script_is_balanced(export_cas(kind, {}))
+            assert script_is_balanced(export_cas(kind))
         assert not script_is_balanced("f = (1;\n")
 
     def test_expected_tables_in_comments(self):
-        q = export_cas("pfaffian-q", {})
-        w = export_cas("pfaffian-w", {})
+        q = export_cas("pfaffian-q")
+        w = export_cas("pfaffian-w")
         assert "{7, 7, 8, 9}" in q     # level 3 of the maximal table
         assert "{7, 7, 9}" in w        # level 3 after the a+h cancellation
         assert "{3, 3, 3, 5}" in q and "{3, 3, 3, 5}" in w
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
-            export_cas("groebner", {})
+            export_cas("groebner")

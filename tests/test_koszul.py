@@ -5,8 +5,9 @@ elimination written here with Fraction arithmetic.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -28,7 +29,7 @@ from aci3 import (
     verify_resolution,
 )
 from aci3.intmat import int_det, int_rank
-from aci3.koszul import strand_blocks
+from aci3.koszul import multidegree_blocks
 from aci3.monomials import minimalize, standard_monomials
 
 
@@ -108,8 +109,8 @@ def whole_strand_table(ideal):
 
 @st.composite
 def artinian_ideals(draw):
-    """Pure powers plus up to three mixed generators, in 2, 3 or 4 variables."""
-    c = draw(st.sampled_from((2, 3, 4)))
+    """Pure powers plus up to three mixed generators, in 1 to 4 variables."""
+    c = draw(st.sampled_from((1, 2, 3, 4)))
     # whole-strand ranks of a c = 4 instance with exponents 5 take seconds
     top = 5 if c < 4 else 3
     powers = draw(st.lists(st.integers(1, top), min_size=c, max_size=c))
@@ -230,6 +231,10 @@ class TestBettiNumbers:
         ideal4 = MonomialIdeal(4, tuple(
             tuple(2 if k == i else 0 for k in range(4)) for i in range(4)))
         assert betti_numbers(ideal4) == koszul_table((2, 2, 2, 2))
+        # the largest box the exponent-box cap admits in 4 variables
+        ci10 = MonomialIdeal(4, tuple(
+            tuple(10 if k == i else 0 for k in range(4)) for i in range(4)))
+        assert betti_numbers(ci10) == koszul_table((10, 10, 10, 10))
 
     def test_generator_degrees_at_level_one(self):
         for ideal in (aci_construction((2, 3, 4), 5), rigid_witness(3)):
@@ -277,10 +282,10 @@ class TestBettiNumbers:
             betti_numbers(ideal)
 
     def test_size_guard(self):
-        # middle strand dimension 6 * H(38) = 32040 exceeds the 10^4 guard
+        # the exponent box of 20^4 = 160000 monomials exceeds the 10^4 cap
         ideal = MonomialIdeal(4, tuple(
             tuple(20 if k == i else 0 for k in range(4)) for i in range(4)))
-        with pytest.raises(DomainError, match="too large"):
+        with pytest.raises(DomainError, match="exponent box of 160000 monomials too large"):
             betti_numbers(ideal)
 
 
@@ -288,27 +293,37 @@ class TestStrandBlocks:
     IDEALS = (aci_construction((2, 3, 4), 5), rigid_witness(4))
 
     def test_block_bases_partition_the_strand(self):
+        # the returned blocks, all of non-standard b, and the left-out blocks
+        # of the standard b, each holding every subset of supp(b), together
+        # partition every strand
         for ideal in self.IDEALS:
             c = ideal.c
             h = hilbert_function(ideal).values
             std = {m for bucket in standard_monomials(ideal) for m in bucket}
+            size = Counter()    # (degree j, position i) -> basis elements
+            for b, bases, _ in multidegree_blocks(ideal):
+                assert b not in std
+                for i, basis in enumerate(bases):
+                    for S in basis:
+                        assert len(S) == i
+                        assert tuple(e - (k in S) for k, e in enumerate(b)) in std
+                    size[sum(b), i] += len(basis)
+            for b in std:
+                support = [k for k, e in enumerate(b) if e]
+                for i in range(c + 1):
+                    basis = [S for S in combinations(range(c), i)
+                             if tuple(e - (k in S) for k, e in enumerate(b)) in std]
+                    assert basis == list(combinations(support, i))
+                    size[sum(b), i] += len(basis)
             for j in range(len(h) + c):
-                blocks = strand_blocks(ideal, j)
-                for b, bases, _ in blocks:
-                    assert sum(b) == j
-                    for i, basis in enumerate(bases):
-                        for S in basis:
-                            assert len(S) == i
-                            assert tuple(e - (k in S) for k, e in enumerate(b)) in std
                 for i in range(c + 1):
                     dim = h[j - i] if 0 <= j - i < len(h) else 0
-                    assert sum(len(bases[i]) for _, bases, _ in blocks) == comb(c, i) * dim
+                    assert size[j, i] == comb(c, i) * dim
 
     def test_block_differentials_compose_to_zero(self):
         for ideal in self.IDEALS:
-            for j in range(len(standard_monomials(ideal)) + ideal.c):
-                for _, _, mats in strand_blocks(ideal, j):
-                    assert_composes_to_zero(mats)
+            for _, _, mats in multidegree_blocks(ideal):
+                assert_composes_to_zero(mats)
 
     @given(artinian_ideals())
     def test_blocked_oracle_matches_whole_strands(self, ideal):

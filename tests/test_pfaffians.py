@@ -208,7 +208,7 @@ class TestAltMatrix:
     def test_zero_entry_from_degree_bound(self):
         m = alt_matrix((2, 2, 2, 3, 3))
         assert m.theta == 6
-        assert m.entry_degrees[(4, 5)] == 0
+        assert m.theta - m.delta[3] - m.delta[4] == 0
         assert m.entry(4, 5).is_zero
 
     def test_non_integral_theta(self):
@@ -280,8 +280,7 @@ def _even_matrix():
     # helper: a legitimate even-size alternating matrix for error-path tests
     from aci3.pfaffians import AlternatingMatrix
     m = alt_matrix((1, 1, 1))
-    return AlternatingMatrix(m.delta[:2], m.theta, 2, m.ring,
-                             {(1, 2): m.upper[(1, 2)]}, {(1, 2): 1})
+    return AlternatingMatrix(m.delta[:2], m.theta, 2, m.ring, {(1, 2): m.upper[(1, 2)]})
 
 
 class TestPfaffianInt:
@@ -475,7 +474,7 @@ class TestSubPfaffiansAgainstLastRow:
     def assert_refused(degree):
         m = alt_matrix((1, 1, 1, 1, 1, 1, 3))    # x_ij for i < j <= 6
         big = {ij: {key * degree: 1} for ij, entry in m.upper.items() for key in entry}
-        m = pfaffians.AlternatingMatrix(m.delta, m.theta, 7, m.ring, big, m.entry_degrees)
+        m = pfaffians.AlternatingMatrix(m.delta, m.theta, 7, m.ring, big)
         for expand in (lambda: pfaffian(m, range(1, 7)),
                        lambda: pfaffian_last_row(m, range(1, 7)),
                        lambda: sub_pfaffians(m)):      # p_7 is the pfaffian on 1..6
@@ -487,7 +486,7 @@ class TestSubPfaffiansAgainstLastRow:
 def _hand_built(m, entries):
     """m with the given upper entries, as {(i, j): {exponents: coeff}}."""
     upper = {ij: {m.ring.pack(e): c for e, c in entry.items()} for ij, entry in entries.items()}
-    return pfaffians.AlternatingMatrix(m.delta, m.theta, m.size, m.ring, upper, m.entry_degrees)
+    return pfaffians.AlternatingMatrix(m.delta, m.theta, m.size, m.ring, upper)
 
 
 class TestHandBuiltEntries:
