@@ -497,7 +497,3 @@ def main(argv=None) -> int:
     if isinstance(result.payload, dict) and result.payload.get("passed") is False:
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,7 +2,9 @@
 file outputs, and the CAS export scripts."""
 
 import copy
+import gc
 import hashlib
+import importlib
 import json
 import os
 import shlex
@@ -498,12 +500,17 @@ print(json.dumps([first, codes, loaded()]))
 SHARED = ["aci3", "aci3.cli", "aci3.errors", "aci3.hilbert", "aci3.schemacheck"]
 
 
-def probe(argvs, tmp_path):
+def child_env(tmp_path):
+    """The environment of a fresh interpreter that imports ``aci3`` from ``SRC``."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, ACI3_OUTPUT_DIR=str(tmp_path),
-               PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
-    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    return dict(os.environ, ACI3_OUTPUT_DIR=str(tmp_path),
+                PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
+
+
+def probe(argvs, tmp_path):
+    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)],
+                         env=child_env(tmp_path), capture_output=True, text=True,
+                         check=True).stdout
     first, codes, after = json.loads(out.splitlines()[-1])
     assert codes == [0] * len(argvs)
     return first, after
@@ -533,6 +540,51 @@ class TestImportGraph:
         _, after = probe([["verify", "--scope", scope, "--max-a", "2"]], tmp_path)
         assert "aci3.verify" in after
         assert not unloaded & set(after)
+
+
+# ``python -m aci3`` and what the ``aci3`` console script runs
+ENTRIES = {"module": ["-m", "aci3"],
+           "script": ["-c", "import sys; from aci3.__main__ import run; sys.exit(run())"]}
+
+
+def cold_process(entry, args, tmp_path):
+    """(stdout, stderr, exit status) of one fresh interpreter."""
+    proc = subprocess.run([sys.executable, *entry, *args], env=child_env(tmp_path),
+                          capture_output=True, text=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+class TestProcessEntry:
+    """``aci3.__main__.run`` runs one command with the cyclic collector off;
+    ``cli.main`` in process leaves the collector alone."""
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+    @pytest.mark.parametrize("argv, status", [
+        (["hf", "ci", "--degrees", "3,3,3"], 0),
+        (["hf", "ci", "--degrees", "3,3,3", "--envelope"], 0),
+        (["hf", "ci", "--degrees", "3,x,3"], 1),
+        (["hf", "ci"], 1),
+        (["verify", "--scope", "gaeta"], 0),
+    ], ids=["hf-ci", "envelope", "bad-integer-list", "missing-flag", "verify-gaeta"])
+    def test_a_cold_process_prints_what_main_prints(self, entry, argv, status, tmp_path,
+                                                     capsys):
+        assert main(argv) == status
+        captured = capsys.readouterr()
+        assert cold_process(entry, argv, tmp_path) == (captured.out, captured.err, status)
+
+    def test_run_leaves_the_collector_off_and_the_heap_frozen(self, tmp_path):
+        code = ("import gc, sys; from aci3.__main__ import run; "
+                "sys.argv[1:] = ['hf', 'ci', '--degrees', '2,2']; "
+                "status = run(); print(status, gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert cold_process(["-c", code], [], tmp_path) == ("[1,2,1]\n0 False True\n", "", 0)
+
+    def test_in_process_callers_keep_the_collector(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert gc.isenabled()
+        assert main(["hf", "ci", "--degrees", "3,3,3"]) == 0
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+        importlib.import_module("aci3.__main__")
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
 
 
 # Small bounded values for integer and integer-list flags; --flag=value
