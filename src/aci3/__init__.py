@@ -19,9 +19,8 @@ _EXPORTS = {
                  "delta_high", "delta_low", "enumerate_tables", "gaeta_check",
                  "maximal_table", "t_max"),
     "errors": ("DomainError",),
-    "hilbert": ("BettiTable", "DegreeTuple", "HilbertFunction", "ci_hilbert", "difference",
-                "hilbert_from_betti", "koszul_table", "min_generator_bound", "recognize_ci",
-                "socle_degree"),
+    "hilbert": ("BettiTable", "HilbertFunction", "ci_hilbert", "difference", "hilbert_from_betti",
+                "koszul_table", "min_generator_bound", "recognize_ci", "socle_degree"),
     "intmat": (),
     "koszul": ("betti_numbers", "strand_matrices", "verify_resolution"),
     "liaison": ("LinkDatum", "MappingCone", "ci_link_identity", "link_hilbert",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError
-from .hilbert import BettiTable
+from .hilbert import BettiTable, as_degrees
 
 EVEN = "even"
 ODD = "odd"
@@ -113,14 +113,10 @@ class GorensteinDelta:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        degs = tuple(int(d) for d in self.degrees)
-        if len(degs) % 2 == 0 or len(degs) < 3:
-            raise DomainError("input-error", f"length must be odd and >= 3, got {len(degs)}")
-        if list(degs) != sorted(degs):
-            raise DomainError("input-error", f"degrees must be sorted ascending, got {degs}")
-        if any(d < 1 for d in degs):
-            raise DomainError("input-error", f"degrees must be >= 1, got {degs}")
-        object.__setattr__(self, "degrees", degs)
+        length = len(self.degrees)
+        if length % 2 == 0 or length < 3:
+            raise DomainError("input-error", f"length must be odd and >= 3, got {length}")
+        object.__setattr__(self, "degrees", as_degrees(self.degrees))
 
     @property
     def n(self) -> int:

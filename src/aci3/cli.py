@@ -170,11 +170,14 @@ _A, _H = _flag("--a", type=int, required=True), _flag("--h", type=int, required=
 
 class IntList(str):
     """Flag type of comma-separated integers: the text, read by the handler
-    with ``ints()`` so that a bad list is an input-error in the handler's order."""
+    with ``ints()`` so that a bad list is an input-error in the handler's order.
+    Empty text is the empty list; an empty item, as in ``3,,3``, is refused."""
 
     def ints(self) -> tuple[int, ...]:
+        if not self:
+            return ()
         try:
-            return tuple(int(part) for part in self.split(",") if part.strip() != "")
+            return tuple(map(int, self.split(",")))
         except ValueError as exc:
             raise DomainError("input-error",
                               f"expected comma-separated integers, got {self!r}") from exc
@@ -215,7 +218,7 @@ def _cmd_hf_from_betti(args):
 @_route("hf recognize", _flag("--hf", type=IntList, required=True))
 def _cmd_hf_recognize(args):
     found = recognize_ci(HilbertFunction(args.hf.ints()))
-    payload = None if found is None else list(found.degrees)
+    payload = None if found is None else list(found)
     return payload, ("ci-recognition",)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -74,38 +74,17 @@ class HilbertFunction:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class DegreeTuple:
-    """Sorted generator degrees a_1 <= ... <= a_r of a complete intersection."""
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        degs = tuple(int(d) for d in self.degrees)
-        if any(d < 1 for d in degs):
-            raise DomainError("input-error", f"degrees must be >= 1, got {degs}")
-        if list(degs) != sorted(degs):
-            raise DomainError("input-error", f"degrees must be sorted ascending, got {degs}")
-        object.__setattr__(self, "degrees", degs)
-
-    @property
-    def r(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-
-DegreesLike = Union[DegreeTuple, Sequence[int]]
+DegreesLike = Sequence[int]
 
 
 def as_degrees(degrees: DegreesLike) -> tuple[int, ...]:
-    if isinstance(degrees, DegreeTuple):
-        return degrees.degrees
-    return DegreeTuple(tuple(degrees)).degrees
+    """Sorted generator degrees a_1 <= ... <= a_r, each >= 1, as a tuple of int."""
+    degs = tuple(map(int, degrees))
+    if degs and min(degs) < 1:
+        raise DomainError("input-error", f"degrees must be >= 1, got {degs}")
+    if list(degs) != sorted(degs):
+        raise DomainError("input-error", f"degrees must be sorted ascending, got {degs}")
+    return degs
 
 
 @dataclass(frozen=True)
@@ -273,7 +252,7 @@ def hilbert_from_betti(b: BettiTable) -> HilbertFunction:
     return HilbertFunction(vals[: m + 1])
 
 
-def recognize_ci(h: HilbertFunction) -> Optional[DegreeTuple]:
+def recognize_ci(h: HilbertFunction) -> tuple[int, ...] | None:
     """Degrees of a complete intersection with Hilbert function h, if any.
 
     The number of factors is fixed at r = H(1), and the answer is unique:
@@ -300,7 +279,7 @@ def recognize_ci(h: HilbertFunction) -> Optional[DegreeTuple]:
             return None
         del poly[-a:]
         found.append(a)
-    return DegreeTuple(tuple(found)) if poly == [1] else None
+    return tuple(found) if poly == [1] else None
 
 
 def min_generator_bound(h: HilbertFunction, c: int, j: int) -> int:

@@ -13,6 +13,7 @@ import sys
 import time
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations_with_replacement, islice
 from pathlib import Path
 
 import jsonschema
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aci3 import (DomainError, MonomialIdeal, cli, export_cas, pfaffians, script_is_balanced,
-                  verify)
+from aci3 import (DomainError, MonomialIdeal, ci_hilbert, cli, export_cas, pfaffians,
+                  script_is_balanced, verify)
 from aci3.cli import build_parser, main, run, validate_payload
 from aci3.schemacheck import compile_schema
 
@@ -238,6 +239,23 @@ class TestInputErrors:
     ])
     def test_usage_errors(self, argv, capsys):
         assert json_error(argv, capsys) == "input-error"
+
+    @pytest.mark.parametrize("text", ["3,,3", "3,", ",3", ","])
+    @pytest.mark.parametrize("argv", [
+        ["hf", "ci", "--degrees"],
+        ["hf", "diff", "--hf"],
+        ["gorenstein", "gaeta", "--delta"],
+        ["liaison", "link", "--hq", "1,2,1", "--z"],
+    ])
+    def test_empty_list_items_are_refused(self, argv, text, capsys):
+        # once dropped, so that `hf ci --degrees 3,,3` answered for CI(3,3)
+        assert main(argv + [text]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["code"], err["message"]) == (
+            "input-error", f"expected comma-separated integers, got {text!r}")
+
+    def test_empty_text_is_the_empty_list(self):
+        assert payload(["hf", "ci", "--degrees", ""]) == [1]
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -858,6 +876,27 @@ def stdout_of(argv, capsys):
     return capsys.readouterr().out
 
 
+def int_list(values) -> str:
+    return ",".join(map(str, values))
+
+
+# Hilbert functions of no complete intersection: a CI with r = H(1) factors
+# of degree >= 2 and socle degree s has degrees summing to s + r, so each
+# row has one CI, of type (2,2,2), (2,2,3) or (2,2,2,2), whose value is left out
+NOT_CI = ([(1, 3, v, 1) for v in (1, 2, 4, 5, 6, 7)]
+          + [(1, 3, v, 3, 1) for v in (1, 2, 3, 5, 6, 7)]
+          + [(1, 4, v, 4, 1) for v in (1, 2, 3, 4, 5, 7, 8, 9)])
+
+
+def pfaffian_check_sequences():
+    """The sequences of ``verify.check_pfaffian_degrees``, in its order."""
+    for length in range(3, 8, 2):
+        n = (length - 1) // 2
+        for delta in combinations_with_replacement(range(1, 9), length):
+            if sum(delta) % n == 0:
+                yield delta
+
+
 class TestPinnedPayloads:
     """Exact outputs of routes whose implementation is shared with the library."""
 
@@ -903,6 +942,25 @@ class TestPinnedPayloads:
     @pytest.mark.parametrize("a, h, want", [(4, 6, TABLES_4_6), (5, 10, TABLES_5_10)])
     def test_classify_tables(self, a, h, want, capsys):
         assert stdout_of(["classify", "tables", "--a", str(a), "--h", str(h)], capsys) == want + "\n"
+
+    def test_degree_sequence_payloads(self, capsys):
+        # stdout, byte for byte, of `hf recognize` on the CI function of every
+        # sorted triple with entries 1..7 and on 20 functions of no CI, and of
+        # `gorenstein gaeta` and `pfaffian alt` on the first 200 sequences of
+        # the sub-pfaffian degree check
+        text = ""
+        for degs in combinations_with_replacement(range(1, 8), 3):
+            h = ci_hilbert(degs).values
+            text += stdout_of(["hf", "recognize", "--hf", int_list(h)], capsys)
+        for h in NOT_CI:
+            out = stdout_of(["hf", "recognize", "--hf", int_list(h)], capsys)
+            assert out == "null\n", h
+            text += out
+        for delta in islice(pfaffian_check_sequences(), 200):
+            text += stdout_of(["gorenstein", "gaeta", "--delta", int_list(delta)], capsys)
+            text += stdout_of(["pfaffian", "alt", "--delta", int_list(delta)], capsys)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "9d9c0cc3972e7e37abc7dc150b9441a26fccc51e02aa679b3d2a539df60f9155"
 
 
 class TestExportCas:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from aci3 import (
     BettiTable,
-    DegreeTuple,
     DomainError,
+    GorensteinDelta,
     HilbertFunction,
     ci_hilbert,
     difference,
@@ -21,7 +21,7 @@ from aci3 import (
     recognize_ci,
     socle_degree,
 )
-from aci3.hilbert import betti_alternating_sum
+from aci3.hilbert import as_degrees, betti_alternating_sum
 
 
 def poly_mul(a, b):
@@ -201,9 +201,9 @@ class TestBettiAlternatingSum:
 
 class TestRecognizeCi:
     def test_frozen_cases(self):
-        assert recognize_ci(HilbertFunction((1, 3, 3, 1))).degrees == (2, 2, 2)
+        assert recognize_ci(HilbertFunction((1, 3, 3, 1))) == (2, 2, 2)
         assert recognize_ci(HilbertFunction((1, 3, 1))) is None
-        assert recognize_ci(HilbertFunction((1, 2, 1))).degrees == (2, 2)
+        assert recognize_ci(HilbertFunction((1, 2, 1))) == (2, 2)
 
     def test_131_by_exhaustion(self):
         # no triple with entries 2..4 produces (1, 3, 1): 3 factors of degree
@@ -214,9 +214,7 @@ class TestRecognizeCi:
     def test_round_trip(self):
         for r in range(0, 4):
             for degs in all_sorted_tuples(r, 2, 6):
-                found = recognize_ci(ci_hilbert(degs))
-                assert found is not None
-                assert found.degrees == degs
+                assert recognize_ci(ci_hilbert(degs)) == degs
 
     def test_lexicographically_least(self):
         # (1-t)^r H(t) determines the degrees, so the answer is the only one
@@ -228,7 +226,7 @@ class TestRecognizeCi:
     def test_non_ci_sequences(self):
         assert recognize_ci(HilbertFunction((1, 2, 2, 1, 1))) is None
         # (1,2,2,2,2,1) on the other hand is ci(2,5)
-        assert recognize_ci(HilbertFunction((1, 2, 2, 2, 2, 1))).degrees == (2, 5)
+        assert recognize_ci(HilbertFunction((1, 2, 2, 2, 2, 1))) == (2, 5)
 
 
 degree_tuples = st.lists(st.integers(2, 12), max_size=5).map(lambda d: tuple(sorted(d)))
@@ -249,7 +247,7 @@ class TestHilbertSeriesRule:
 
     @given(degree_tuples)
     def test_recognize_inverts_ci_hilbert(self, degs):
-        assert recognize_ci(ci_hilbert(degs)).degrees == degs
+        assert recognize_ci(ci_hilbert(degs)) == degs
 
     @given(st.lists(st.integers(0, 8), max_size=12))
     def test_recognize_is_sound_on_arbitrary_h(self, tail):
@@ -279,13 +277,37 @@ class TestMinGeneratorBound:
             min_generator_bound(HilbertFunction((1, 9)), 2, 1)
 
 
-class TestDegreeTuple:
+def outcome(build, values):
+    """What ``build(values)`` returns, or the code and message it raises."""
+    try:
+        return build(values)
+    except DomainError as exc:
+        return exc.code, str(exc)
+
+
+class TestAsDegrees:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            DegreeTuple((3, 2))
-        with pytest.raises(DomainError):
-            DegreeTuple((0, 2))
-        assert DegreeTuple((2, 2, 3)).r == 3
+        with pytest.raises(DomainError, match="sorted ascending"):
+            as_degrees((3, 2))
+        with pytest.raises(DomainError, match=">= 1"):
+            as_degrees((0, 2))
+        assert as_degrees((2, 2, 3)) == (2, 2, 3)
+
+    @given(st.lists(st.integers(-1, 9), max_size=9))
+    def test_one_rule_one_place(self, values):
+        # as_degrees states the degree-sequence rule; GorensteinDelta adds
+        # only its length rule and refuses the rest as as_degrees does
+        values = tuple(values)
+        degrees = values == tuple(sorted(values)) and all(v >= 1 for v in values)
+        got = outcome(as_degrees, values)
+        assert (got == values) if degrees else (got[0] == "input-error")
+        delta = outcome(GorensteinDelta, values)
+        if len(values) % 2 == 0 or len(values) < 3:
+            assert delta == ("input-error", f"length must be odd and >= 3, got {len(values)}")
+        elif degrees:
+            assert delta.degrees == values
+        else:
+            assert delta == got
 
 
 class TestBettiTable:
@@ -328,7 +350,7 @@ class TestSizeCaps:
 
     def test_recognize_through_difference_work(self):
         # r = H(1) on r + 1 values takes r x (2r + 1) difference steps
-        assert recognize_ci(ci_hilbert((2,) * 706)).degrees == (2,) * 706   # 706 x 1413
+        assert recognize_ci(ci_hilbert((2,) * 706)) == (2,) * 706   # 706 x 1413
         assert self.code(recognize_ci, ci_hilbert((2,) * 707)) == "too-large"
 
     def test_difference_work(self):
