@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, as_ints
 from .hilbert import BettiTable, as_degrees
 
 EVEN = "even"
@@ -41,13 +41,9 @@ MAX_POSET_NODES = 4095
 MAX_LINK_DEGREES = 10 ** 4
 
 
-def _check_at_least_2(value: int, name: str) -> None:
-    if value < 2:
-        raise DomainError("input-error", f"need {name} >= 2, got {value}")
-
-
 def check_h_window(a: int, h: int, code: str = "h-out-of-range") -> None:
-    """Raise unless a + 1 <= h <= 3a - 2, the window of the (a, h) families."""
+    """Raise unless a and h are ints, a + 1 <= h <= 3a - 2: the (a, h) window."""
+    as_ints((a, h), "a and h")
     if not a + 1 <= h <= 3 * a - 2:
         raise DomainError(code, f"h outside ({a + 1} .. {3 * a - 2}): got {h}")
 
@@ -64,9 +60,9 @@ def d_star(a: int, h: int, t: int) -> int:
     Raises input-error for a < 2, then h-out-of-range outside the window of
     ``check_h_window``, input-error for t < 2 and invalid-family for even t with h >= 2a.
     """
-    _check_at_least_2(a, "a")
+    as_ints((a,), "a", 2)
     check_h_window(a, h)
-    _check_at_least_2(t, "t")    # every table has t >= 2
+    as_ints((t,), "t", 2)    # every table has t >= 2
     _check_parity(a, h, t % 2 == 0)
     return a if t % 2 == 0 else h
 
@@ -81,7 +77,7 @@ class AciFamily:
     parity: str
 
     def __post_init__(self):
-        a, h = self.a, self.h
+        a, h = as_ints((self.a, self.h), "a and h")
         if a < 2:
             raise DomainError("invalid-family", f"need a >= 2, got {a}")
         check_h_window(a, h, "invalid-family")
@@ -257,7 +253,7 @@ def cancel_couple(tbl: AciTable, couple: tuple[int, int]) -> AciTable:
     that t never drops below 3.
     """
     fam = tbl.family
-    pair = tuple(sorted(couple))
+    pair = tuple(sorted(as_ints(couple, "couple twists")))
     if pair not in allowed_couples(fam):
         raise DomainError(
             "couple-not-allowed",
@@ -328,7 +324,7 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
     time.  Posets with more than ``MAX_POSET_NODES`` nodes raise too-large
     before any table is built.
     """
-    _check_at_least_2(a, "a")
+    as_ints((a,), "a", 2)
     check_h_window(a, h)
     # d independent cancellations give 2^d subsets; the t-floor drops the full
     # one.  Comparing d first keeps a huge h from building a huge 2^d.
@@ -368,16 +364,18 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
 def t_max(a: int) -> int:
     """Largest last-syzygy count in the h = 2a family: a + 1 for even a,
     a for odd a."""
-    _check_at_least_2(a, "a")
+    as_ints((a,), "a", 2)
     return a + 1 if a % 2 == 0 else a
 
 
-def _link_delta(a: int, h: int, lo: int, hi: int) -> GorensteinDelta:
+def _link_delta(a: int, h: int, high: bool) -> GorensteinDelta:
     """(a, a, h-a) and the degrees strictly between max(a, h-a) and
-    min(h, 2a), with (a+h)/2 doubled when h - a is even; lo <= h <= hi, and
-    a length of at most ``MAX_LINK_DEGREES``, are checked before any list
-    is built."""
-    _check_at_least_2(a, "a")
+    min(h, 2a), with (a+h)/2 doubled when h - a is even; h in the high
+    window 2a .. 3a - 2 or the low one a + 1 .. 2a - 1, and a length of at
+    most ``MAX_LINK_DEGREES``, are checked before any list is built."""
+    as_ints((a,), "a", 2)
+    as_ints((h,), "h")
+    lo, hi = (2 * a, 3 * a - 2) if high else (a + 1, 2 * a - 1)
     if not lo <= h <= hi:
         raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
     between = range(max(a, h - a) + 1, min(h, 2 * a))
@@ -393,11 +391,11 @@ def delta_low(a: int, h: int) -> GorensteinDelta:
     """Generator degrees of the Gorenstein link realizing the maximal tables
     for a + 1 <= h <= 2a - 1: (h-a, a, a, a+1, ..., h-1), with (a+h)/2
     doubled when h - a is even."""
-    return _link_delta(a, h, a + 1, 2 * a - 1)
+    return _link_delta(a, h, high=False)
 
 
 def delta_high(a: int, h: int) -> GorensteinDelta:
     """Generator degrees of the Gorenstein link realizing the maximal table
     for 2a <= h <= 3a - 2: (a, a, h-a, h-a+1, ..., 2a-1), with (a+h)/2
     doubled when h - a is even."""
-    return _link_delta(a, h, 2 * a, 3 * a - 2)
+    return _link_delta(a, h, high=True)

@@ -13,11 +13,11 @@ always the single twist 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, as_ints
 
 # Size caps checked before any work (code too-large); the largest accepted
 # call of each function takes well under a second.
@@ -43,7 +43,7 @@ class HilbertFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(map(int, self.values))
+        vals = as_ints(self.values, "Hilbert function values")
         if vals and min(vals) < 0:
             raise DomainError("not-hilbert-function", f"negative value in {vals}")
         end = len(vals)
@@ -79,9 +79,7 @@ DegreesLike = Sequence[int]
 
 def as_degrees(degrees: DegreesLike) -> tuple[int, ...]:
     """Sorted generator degrees a_1 <= ... <= a_r, each >= 1, as a tuple of int."""
-    degs = tuple(map(int, degrees))
-    if degs and min(degs) < 1:
-        raise DomainError("input-error", f"degrees must be >= 1, got {degs}")
+    degs = as_ints(degrees, "degrees", 1)
     if list(degs) != sorted(degs):
         raise DomainError("input-error", f"degrees must be sorted ascending, got {degs}")
     return degs
@@ -101,10 +99,8 @@ class BettiTable:
     levels: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if type(self.c) is not int or self.c < 1:
-            raise DomainError("input-error", f"need an integer c >= 1, got c = {self.c!r}")
-        if not all(type(j) is int for level in self.levels for j in level):  # a bool is not
-            raise DomainError("input-error", f"twists must be integers, got {self.levels}")
+        as_ints((self.c,), "c", 1)
+        as_ints(chain.from_iterable(self.levels), "twists", 0)
         lvls = tuple(tuple(sorted(level)) for level in self.levels)
         if len(lvls) != self.c + 1:
             raise DomainError(
@@ -113,9 +109,6 @@ class BettiTable:
             )
         if lvls[0] != (0,):
             raise DomainError("input-error", f"level 0 must be (0,), got {lvls[0]}")
-        for level in lvls:
-            if level and level[0] < 0:    # sorted, so its first twist is the least
-                raise DomainError("input-error", f"negative twist in {level}")
         object.__setattr__(self, "levels", lvls)
 
     @property
@@ -191,8 +184,7 @@ def difference(h: HilbertFunction, k: int = 1) -> tuple[int, ...]:
     length len(h.values) + k and may be negative.  Orders whose work k times
     that length exceeds ``MAX_DIFFERENCE_WORK`` are too-large.
     """
-    if k < 0:
-        raise DomainError("input-error", f"difference order must be >= 0, got {k}")
+    as_ints((k,), "difference order", 0)
     if k * (len(h.values) + k) > MAX_DIFFERENCE_WORK:
         raise DomainError("too-large", f"order {k} on {len(h.values)} values: too many steps")
     vals = list(h.values)
@@ -292,10 +284,8 @@ def min_generator_bound(h: HilbertFunction, c: int, j: int) -> int:
     ``MAX_BOUND_DEGREE_SUM`` are too-large: each dim R_n is a binomial
     coefficient of that size, and h needs one per degree.
     """
-    if c < 1:
-        raise DomainError("input-error", f"need c >= 1, got {c}")
-    if j < 0:
-        raise DomainError("input-error", f"need degree >= 0, got {j}")
+    as_ints((c,), "c", 1)
+    as_ints((j,), "degree", 0)
     size = c + max(j, len(h.values) - 1)
     if size > MAX_BOUND_DEGREE_SUM:
         raise DomainError("too-large", f"c + top degree = {size} exceeds {MAX_BOUND_DEGREE_SUM}")

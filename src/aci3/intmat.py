@@ -7,6 +7,8 @@ integers and results are exact in characteristic zero.
 
 from __future__ import annotations
 
+from .errors import as_ints
+
 
 def _echelon(m: list[list[int]]) -> tuple[int, int, int]:
     """Bring ``m`` to fraction-free row echelon form in place.
@@ -47,12 +49,12 @@ def _echelon(m: list[list[int]]) -> tuple[int, int, int]:
 
 def int_rank(rows) -> int:
     """Rank over the rationals of an integer matrix (list of rows)."""
-    return _echelon([list(map(int, r)) for r in rows])[0]
+    return _echelon([list(as_ints(r, "matrix entries")) for r in rows])[0]
 
 
 def int_det(mat) -> int:
     """Determinant of a square integer matrix."""
-    m = [list(map(int, r)) for r in mat]
+    m = [list(as_ints(r, "matrix entries")) for r in mat]
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix is not square")

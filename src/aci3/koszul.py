@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import DomainError
+from .errors import DomainError, as_ints
 from .hilbert import BettiTable
 from .intmat import int_rank
 from .monomials import MonomialIdeal, standard_monomials
@@ -61,6 +61,7 @@ def strand_matrices(ideal: MonomialIdeal, j: int) -> list[list[list[int]]]:
     whole-strand cross-check of ``betti_numbers``, and so tests can assert
     that consecutive differentials compose to zero.
     """
+    as_ints((j,), "degree j")
     std = _check_instance(ideal)
     c = ideal.c
 

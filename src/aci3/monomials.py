@@ -13,11 +13,11 @@ admissible window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import prod
 from operator import le
 
-from .errors import DomainError
+from .errors import DomainError, as_ints
 from .hilbert import DegreesLike, HilbertFunction, as_degrees
 
 Monomial = tuple[int, ...]
@@ -62,7 +62,7 @@ class MonomialIdeal:
     """Monomial ideal given by its minimal (antichain) generating set.
 
     The constructor is the one path from any generator list to that set.
-    Each exponent vector must be c integers >= 0 (a bool is not one).  The
+    Each exponent vector must be c ints >= 0, read by ``as_ints``.  The
     distinct vectors are sorted by ascending degree, then descending lex
     (the x > y > z display order), and each one that no kept generator
     divides is kept: a proper divisor has a lower degree, so one pass over
@@ -73,18 +73,14 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        c = self.c
-        if type(c) is not int or c < 1:
-            raise DomainError("input-error", f"need an integer c >= 1, got c = {c!r}")
-        distinct = set()
-        for g in self.gens:
-            g = tuple(g)
-            if len(g) != c or not all(type(e) is int and e >= 0 for e in g):
-                raise DomainError("input-error", f"bad exponent vector {list(g)} for c = {c}: "
-                                                 f"need {c} integers >= 0")
-            distinct.add(g)
+        (c,) = as_ints((self.c,), "c", 1)
+        gens = [tuple(g) for g in self.gens]
+        for g in gens:
+            if len(g) != c:
+                raise DomainError("input-error", f"bad exponent vector {list(g)} for c = {c}")
+        as_ints(chain.from_iterable(gens), "exponents", 0)
         kept: list[Monomial] = []
-        for g in sorted(distinct, key=lambda m: (sum(m), tuple(-e for e in m))):
+        for g in sorted(set(gens), key=lambda m: (sum(m), tuple(-e for e in m))):
             if not any(divides(m, g) for m in kept):
                 kept.append(g)
         object.__setattr__(self, "gens", tuple(kept))
@@ -242,11 +238,11 @@ def aci_construction(degrees: DegreesLike, h: int) -> MonomialIdeal:
     x_r^{h - a_{r-1}}, for a_r + 1 <= h <= a_r + a_1 - 1.
     """
     degs = as_degrees(degrees)
+    as_ints((h,), "h")
     r = len(degs)
     if r < 2:
         raise DomainError("input-error", f"need at least 2 degrees, got {r}")
-    if any(a < 2 for a in degs):
-        raise DomainError("input-error", f"all degrees must be >= 2, got {degs}")
+    as_ints(degs, "degrees", 2)
     lo, hi = degs[-1] + 1, degs[-1] + degs[0] - 1
     if not lo <= h <= hi:
         raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
@@ -268,8 +264,7 @@ def rigid_witness(a: int) -> MonomialIdeal:
     A monomial almost complete intersection with generator degrees
     (a, a, a, a+1) whose resolution admits no cancellation (t = 2).
     """
-    if a < 2:
-        raise DomainError("input-error", f"need a >= 2, got {a}")
+    as_ints((a,), "a", 2)
     return MonomialIdeal(
         3,
         ((a, 0, 0), (0, a + 1, 0), (0, 0, a), (a - 1, 1, 0)),

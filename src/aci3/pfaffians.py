@@ -63,7 +63,7 @@ from operator import or_
 from struct import Struct
 
 from .classify import DeltaLike, _as_delta
-from .errors import DomainError
+from .errors import DomainError, as_ints
 from .intmat import int_det
 from .monomials import format_monomial
 
@@ -91,12 +91,10 @@ class PolyRing:
 
     def pack(self, expo) -> int:
         """The key of an exponent vector over this ring."""
-        expo = tuple(int(e) for e in expo)
+        expo = as_ints(expo, "exponents", 0)
         if len(expo) != len(self.names):
             raise DomainError("input-error",
                               f"{len(expo)} exponents for {len(self.names)} variables")
-        if any(e < 0 for e in expo):
-            raise DomainError("input-error", f"negative exponent in {expo}")
         if sum(expo) > MAX_EXPONENT:
             raise _overflow()
         return int.from_bytes(self.layout.pack(*expo, sum(expo)), "big")
@@ -126,7 +124,8 @@ class SparsePolynomial:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.packed = {ring.pack(e): int(c) for e, c in terms.items() if c}
+        coeffs = as_ints(terms.values(), "coefficients")
+        self.packed = {ring.pack(e): c for e, c in zip(terms, coeffs) if c}
 
     @property
     def terms(self) -> dict:
@@ -236,7 +235,7 @@ class AlternatingMatrix:
     upper: dict = field(repr=False)  # (i, j) with i < j -> packed nonzero entry
 
     def entry(self, i: int, j: int) -> SparsePolynomial:
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
+        if max(as_ints((i, j), "indices", 1)) > self.size:
             raise DomainError("input-error", f"index ({i}, {j}) out of range")
         if i <= j:
             return _clean(self.ring, self.upper.get((i, j), {}))
@@ -291,7 +290,7 @@ def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> Alternatin
 
 
 def _check_subset(m: AlternatingMatrix, subset) -> tuple[int, ...]:
-    idx = tuple(sorted(int(i) for i in subset))
+    idx = tuple(sorted(as_ints(subset, "indices")))
     if len(set(idx)) != len(idx):
         raise DomainError("input-error", f"repeated index in {idx}")
     if idx and not (1 <= idx[0] and idx[-1] <= m.size):
@@ -443,7 +442,7 @@ def pfaffian_int(mat) -> int:
     generic pfaffian of the complete graph, with each entry substituted as a
     constant, as ``pfaffian`` substitutes the entries of Alt(delta)."""
     n = len(mat)
-    if any(len(row) != n for row in mat):
+    if any(len(as_ints(row, "matrix entries")) != n for row in mat):
         raise DomainError("input-error", "matrix is not square")
     for i in range(n):
         if mat[i][i] != 0:

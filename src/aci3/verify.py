@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import DomainError, as_ints
 from .hilbert import ci_hilbert, hilbert_from_betti
 
 if TYPE_CHECKING:
@@ -394,13 +394,12 @@ def verify_suite(scope: str = "all", max_degree: int = 5, max_a: int = 6) -> Rep
     if scope != "all" and scope not in SCOPES:
         raise DomainError("input-error",
                           f"unknown scope {scope!r}; choose from {('all',) + SCOPES}")
+    # every check starts at degree 2 or a = 2: below that it would pass on no case
+    as_ints((max_degree,), "max_degree", 2)
+    as_ints((max_a,), "max_a", 2)
     if max_degree > MAX_DEGREE:
         raise DomainError("too-large", f"max_degree {max_degree} exceeds {MAX_DEGREE}")
     if max_a > MAX_A:
         raise DomainError("too-large", f"max_a {max_a} exceeds {MAX_A}")
-    # every check starts at degree 2 or a = 2: below that it would pass on no case
-    for bound, value in (("max_degree", max_degree), ("max_a", max_a)):
-        if value < 2:
-            raise DomainError("input-error", f"{bound} {value} is below 2, the first case")
     scopes = SCOPES if scope == "all" else (scope,)
     return Report(scope, tuple(run(max_degree, max_a) for s in scopes for run in _PLAN[s]))

@@ -1,6 +1,8 @@
 """Hilbert-function arithmetic against independent brute-force oracles."""
 
+import re
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -71,6 +73,16 @@ class TestHilbertFunction:
         with pytest.raises(DomainError, match="negative value") as exc:
             HilbertFunction((1, 3, -1))
         assert exc.value.code == "not-hilbert-function"
+
+    @pytest.mark.parametrize("values, bad", [
+        ((1, 2.7, True), "2.7"),     # once read as (1, 2, 1) by truncation
+        ((1, 2.0), "2.0"), ((1, "2"), "'2'"), ((True, 2), "True"),
+        ((1, Fraction(2)), "Fraction(2, 1)"),
+    ], ids=repr)
+    def test_values_must_be_ints(self, values, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad}")) as exc:
+            HilbertFunction(values)
+        assert exc.value.code == "input-error"
 
     def test_at_outside_support(self):
         h = HilbertFunction((1, 2, 1))
@@ -292,6 +304,10 @@ class TestAsDegrees:
         with pytest.raises(DomainError, match=">= 1"):
             as_degrees((0, 2))
         assert as_degrees((2, 2, 3)) == (2, 2, 3)
+        # each once read with int(), which truncates and parses
+        for degrees in (("3", "4"), (Fraction(7, 2), 4), (2.9, 3), (True, 2), (2.0, 3)):
+            with pytest.raises(DomainError, match=re.escape(f"got {degrees[0]!r}")):
+                as_degrees(degrees)
 
     @given(st.lists(st.integers(-1, 9), max_size=9))
     def test_one_rule_one_place(self, values):
@@ -317,8 +333,13 @@ class TestBettiTable:
         with pytest.raises(DomainError):
             BettiTable(2, ((1,), (2,), (3,)))  # level 0 must be (0,)
         for level in ((5, -1), (-1, 5), (2, 7, -3, 4)):   # wherever the negative twist is
-            with pytest.raises(DomainError, match=r"negative twist in \(-") as exc:
+            with pytest.raises(DomainError, match=r"need twists >= 0, got -") as exc:
                 BettiTable(3, ((0,), (2, 2, 2), level, (6,)))
+            assert exc.value.code == "input-error"
+        for c, level in ((3.0, (4,)), (True, (4,)), (0, (4,)), (3, (4.5,)), (3, (True,)),
+                         (3, ("4",)), (3, (Fraction(4),))):
+            with pytest.raises(DomainError) as exc:
+                BettiTable(c, ((0,), (2, 2, 2), level, (6,)))
             assert exc.value.code == "input-error"
 
     def test_sorting_and_t(self):

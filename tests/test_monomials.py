@@ -1,6 +1,7 @@
 """Monomial-ideal arithmetic; Hilbert functions are cross-checked against an
 inclusion-exclusion oracle that never enumerates standard monomials."""
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -125,6 +126,7 @@ class TestMinimalize:
     @pytest.mark.parametrize("c, gens", [
         (2, [(2.5, 0)]), (2, [("2", 0)]), (2, [(True, 0)]), (2, [(2, -1)]), (2, [(2, 0, 0)]),
         (2.0, [(2, 0)]), ("2", [(2, 0)]), (True, [(2,)]), (0, []),
+        (2, [(2.0, 0)]), (2, [(2, Fraction(1))]), (Fraction(2), [(2, 0)]), (2, [(0, 2), (1.0, 1)]),
     ], ids=repr)
     def test_exponents_and_c_must_be_integers(self, c, gens):
         with pytest.raises(DomainError) as exc:
