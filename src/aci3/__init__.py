@@ -14,13 +14,13 @@ __version__ = "0.1.0"
 # Module -> the public names it defines.
 _EXPORTS = {
     "cas": ("export_cas", "script_is_balanced"),
-    "classify": ("AciFamily", "AciTable", "GaetaResult", "GorensteinDelta", "PosetEdge",
-                 "TablePoset", "allowed_couples", "cancel_ah", "cancel_couple", "d_star",
-                 "delta_high", "delta_low", "enumerate_tables", "gaeta_check",
-                 "maximal_table", "t_max"),
+    "classify": ("AciFamily", "AciTable", "GaetaResult", "PosetEdge", "TablePoset",
+                 "allowed_couples", "cancel_ah", "cancel_couple", "d_star", "delta_high",
+                 "delta_low", "enumerate_tables", "gaeta_check", "maximal_table", "t_max"),
     "errors": ("DomainError",),
-    "hilbert": ("BettiTable", "HilbertFunction", "ci_hilbert", "difference", "hilbert_from_betti",
-                "koszul_table", "min_generator_bound", "recognize_ci", "socle_degree"),
+    "hilbert": ("BettiTable", "HilbertFunction", "as_delta", "ci_hilbert", "difference",
+                "hilbert_from_betti", "koszul_table", "min_generator_bound", "recognize_ci",
+                "socle_degree", "theta_of"),
     "intmat": (),
     "koszul": ("betti_numbers", "strand_matrices", "verify_resolution"),
     "liaison": ("LinkDatum", "MappingCone", "ci_link_identity", "link_hilbert",

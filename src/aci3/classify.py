@@ -22,17 +22,18 @@ table poset in closed form: one node per subset of them except the one that
 cancels everything, which the t-floor forbids.
 
 ``delta_low`` and ``delta_high`` build the generator-degree sequences of the
-linked Gorenstein ideals realizing the maximal tables; both satisfy the
-Gaeta conditions implemented in ``gaeta_check``.
+linked Gorenstein ideals realizing the maximal tables, as plain tuples; both
+satisfy the Gaeta conditions implemented in ``gaeta_check``, which reads a
+sequence with ``hilbert.as_delta`` and its theta with ``hilbert.theta_of``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, as_ints
-from .hilbert import BettiTable, as_degrees
+from .hilbert import BettiTable, DegreesLike, as_delta, theta_of
 
 EVEN = "even"
 ODD = "odd"
@@ -101,61 +102,21 @@ class AciFamily:
         return 3 * self.a + self.h
 
 
-@dataclass(frozen=True)
-class GorensteinDelta:
-    """Sorted odd-length generator-degree sequence of a codimension-3
-    Gorenstein ideal candidate."""
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        length = len(self.degrees)
-        if length % 2 == 0 or length < 3:
-            raise DomainError("input-error", f"length must be odd and >= 3, got {length}")
-        object.__setattr__(self, "degrees", as_degrees(self.degrees))
-
-    @property
-    def n(self) -> int:
-        return (len(self.degrees) - 1) // 2
-
-    @property
-    def theta(self) -> Optional[int]:
-        """(sum of degrees) / n when integral, else None."""
-        s = sum(self.degrees)
-        return s // self.n if s % self.n == 0 else None
-
-    def __iter__(self):
-        return iter(self.degrees)
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-
-DeltaLike = Union[GorensteinDelta, Sequence[int]]
-
-
-def _as_delta(delta: DeltaLike) -> GorensteinDelta:
-    if isinstance(delta, GorensteinDelta):
-        return delta
-    return GorensteinDelta(tuple(delta))
-
-
 class GaetaResult(NamedTuple):
     ok: bool
     reason: Optional[str]
 
 
-def gaeta_check(delta: DeltaLike) -> GaetaResult:
+def gaeta_check(delta: DegreesLike) -> GaetaResult:
     """Realizability test for a codimension-3 Gorenstein degree sequence.
 
     Requires theta = (sum d_i) / n to be an integer and, writing the sequence
     1-based as d_1 <= ... <= d_{2n+1}, theta > d_i + d_{2n+3-i} for
     2 <= i <= n.  The reason names the first violated condition.
     """
-    d = _as_delta(delta)
-    degs = d.degrees
-    n = d.n
-    theta = d.theta
+    degs = as_delta(delta)
+    n = len(degs) // 2
+    theta = theta_of(degs)
     if theta is None:
         return GaetaResult(False, f"theta = {sum(degs)}/{n} is not an integer")
     for i in range(2, n + 1):
@@ -368,7 +329,7 @@ def t_max(a: int) -> int:
     return a + 1 if a % 2 == 0 else a
 
 
-def _link_delta(a: int, h: int, high: bool) -> GorensteinDelta:
+def _link_delta(a: int, h: int, high: bool) -> tuple[int, ...]:
     """(a, a, h-a) and the degrees strictly between max(a, h-a) and
     min(h, 2a), with (a+h)/2 doubled when h - a is even; h in the high
     window 2a .. 3a - 2 or the low one a + 1 .. 2a - 1, and a length of at
@@ -384,17 +345,17 @@ def _link_delta(a: int, h: int, high: bool) -> GorensteinDelta:
     if length > MAX_LINK_DEGREES:
         raise DomainError("too-large",
                           f"{length} link degrees, more than {MAX_LINK_DEGREES}")
-    return GorensteinDelta(tuple(sorted([a, a, h - a, *between, *doubled])))
+    return as_delta(sorted([a, a, h - a, *between, *doubled]))
 
 
-def delta_low(a: int, h: int) -> GorensteinDelta:
+def delta_low(a: int, h: int) -> tuple[int, ...]:
     """Generator degrees of the Gorenstein link realizing the maximal tables
     for a + 1 <= h <= 2a - 1: (h-a, a, a, a+1, ..., h-1), with (a+h)/2
     doubled when h - a is even."""
     return _link_delta(a, h, high=False)
 
 
-def delta_high(a: int, h: int) -> GorensteinDelta:
+def delta_high(a: int, h: int) -> tuple[int, ...]:
     """Generator degrees of the Gorenstein link realizing the maximal table
     for 2a <= h <= 3a - 2: (a, a, h-a, h-a+1, ..., 2a-1), with (a+h)/2
     doubled when h - a is even."""

@@ -34,11 +34,13 @@ from .errors import DomainError
 from .hilbert import (
     BettiTable,
     HilbertFunction,
+    as_delta,
     ci_hilbert,
     difference,
     hilbert_from_betti,
     min_generator_bound,
     recognize_ci,
+    theta_of,
 )
 
 if TYPE_CHECKING:
@@ -320,9 +322,9 @@ def _cmd_classify_dstar(args):
         _flag("--delta", type=IntList, required=True, help="sorted degrees, e.g. 2,3,3,4,4"))
 def _cmd_gorenstein_gaeta(args):
     from . import classify
-    delta = classify.GorensteinDelta(args.delta.ints())
+    delta = as_delta(args.delta.ints())
     result = classify.gaeta_check(delta)
-    return ({"ok": result.ok, "reason": result.reason, "theta": delta.theta},
+    return ({"ok": result.ok, "reason": result.reason, "theta": theta_of(delta)},
             ("gaeta-conditions",))
 
 

@@ -85,6 +85,22 @@ def as_degrees(degrees: DegreesLike) -> tuple[int, ...]:
     return degs
 
 
+def as_delta(degrees: DegreesLike) -> tuple[int, ...]:
+    """A Gorenstein degree sequence d_1 <= ... <= d_{2n+1}: odd length >= 3,
+    checked first, then the degree-sequence rule of ``as_degrees``."""
+    degs = tuple(degrees)
+    if len(degs) % 2 == 0 or len(degs) < 3:
+        raise DomainError("input-error", f"length must be odd and >= 3, got {len(degs)}")
+    return as_degrees(degs)
+
+
+def theta_of(delta: tuple[int, ...]) -> int | None:
+    """theta = (sum d_i) / n of a degree sequence of length 2n + 1, or None
+    when n does not divide the sum."""
+    n, total = len(delta) // 2, sum(delta)
+    return None if total % n else total // n
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Twist multisets by homological level for an algebra in c variables.

@@ -19,7 +19,8 @@ monomial.  ``terms`` unpacks the keys into the exponent tuples that
 ``to_json`` and ``str`` show.
 
 The alternating matrix of a Gorenstein degree sequence delta = (d_1 <= ...
-<= d_{2n+1}) with theta = (sum d_i)/n has
+<= d_{2n+1}) (``hilbert.as_delta``) with theta = (sum d_i)/n
+(``hilbert.theta_of``) has
 
     a_ij = x_ij^(theta - d_i - d_j)   for i < j when the exponent is positive,
     a_ij = 0                          otherwise,
@@ -42,15 +43,15 @@ coefficients.  ``_specialize`` substitutes the entries into them: those of
 Alt(delta) for ``pfaffian`` and ``sub_pfaffians``, exact term for term
 (every exponent is positive and distinct matchings use distinct
 variables), and the integers of ``pfaffian_int``, as constants, into the
-pfaffian of the complete graph.  Any single-term entries substitute the
-same way, adding the coefficients of terms that meet; an entry of two or
-more terms is refused.  So the Pf(M)^2 = det(M) check of
-``pf_squared_equals_det`` runs the code behind the sub-pfaffians and the
+pfaffian of the complete graph.  A matrix stores each entry as one term, a
+(packed key, coefficient) pair, so any entries substitute the same way,
+adding the coefficients of terms that meet.  So the Pf(M)^2 = det(M) check
+of ``pf_squared_equals_det`` runs the code behind the sub-pfaffians and the
 witness ideals, on coefficients other than +-1 and terms of both signs.
 
 ``pfaffian_last_row`` is the cross-check: the expansion along the last row
 unrolled into a signed sum over the perfect matchings of the index set, on
-the packed dicts, with no memo and no code shared with ``_pf`` or
+the packed terms, with no memo and no code shared with ``_pf`` or
 ``_specialize``.  Polynomials have no addition: ``*`` is their one
 arithmetic operation, and the witness ideals need no other.
 """
@@ -62,9 +63,8 @@ from functools import lru_cache, reduce
 from operator import or_
 from struct import Struct
 
-from .classify import DeltaLike, _as_delta
 from .errors import DomainError, as_ints
-from .intmat import int_det
+from .hilbert import DegreesLike, as_delta, theta_of
 from .monomials import format_monomial
 
 FIELD_BITS = 16
@@ -223,23 +223,23 @@ class AlternatingMatrix:
     """Symbolic alternating matrix with zero diagonal, stored upper-triangular.
 
     Indices are 1-based, matching the usual display.  Entry (i, j) has degree
-    theta - d_i - d_j, and is zero when that is <= 0.  Each entry of
-    ``upper`` is a single term, as ``alt_matrix`` builds it; the pfaffians
-    refuse any other.
+    theta - d_i - d_j, and is zero when that is <= 0.
     """
 
     delta: tuple[int, ...]
     theta: int
     size: int
     ring: PolyRing
-    upper: dict = field(repr=False)  # (i, j) with i < j -> packed nonzero entry
+    upper: dict = field(repr=False)  # (i, j) with i < j -> (packed key, coeff) of its term
 
     def entry(self, i: int, j: int) -> SparsePolynomial:
         if max(as_ints((i, j), "indices", 1)) > self.size:
             raise DomainError("input-error", f"index ({i}, {j}) out of range")
-        if i <= j:
-            return _clean(self.ring, self.upper.get((i, j), {}))
-        return _clean(self.ring, {e: -c for e, c in self.upper.get((j, i), {}).items()})
+        term = self.upper.get((min(i, j), max(i, j)))
+        if term is None:
+            return _clean(self.ring, {})
+        key, c = term
+        return _clean(self.ring, {key: c if i < j else -c})
 
     def pretty(self) -> str:
         cells = [[str(self.entry(i, j)) for j in range(1, self.size + 1)]
@@ -262,30 +262,29 @@ def _alt_ring(size: int, extra_vars: tuple[str, ...]):
                  for k, (i, j) in enumerate(pairs)), ring
 
 
-def alt_matrix(delta: DeltaLike, extra_vars: tuple[str, ...] = ()) -> AlternatingMatrix:
+def alt_matrix(delta: DegreesLike, extra_vars: tuple[str, ...] = ()) -> AlternatingMatrix:
     """Alternating matrix of a degree sequence, over variables x_ij (with any
     extra variables appended to the ring).
 
     Requires theta integral.  The matrix is well defined whether or not the
     sequence passes the Gaeta conditions; ``gaeta_check`` gives that verdict.
     """
-    d = _as_delta(delta)
-    degs = d.degrees
+    degs = as_delta(delta)
     m = len(degs)
     if m > MAX_SIZE:
         raise DomainError("too-large", f"supported up to {MAX_SIZE} indices, got {m}")
     if degs[-1] > MAX_DELTA_ENTRY:
         raise DomainError("too-large",
                           f"entries supported up to {MAX_DELTA_ENTRY}, got {degs[-1]}")
-    theta = d.theta
+    theta = theta_of(degs)
     if theta is None:
-        raise DomainError("theta-not-integral", f"theta = {sum(degs)}/{d.n} is not an integer")
+        raise DomainError("theta-not-integral", f"theta = {sum(degs)}/{m // 2} is not an integer")
     pairs, ring = _alt_ring(m, tuple(extra_vars))
     upper = {}
     for ij, i, j, shift in pairs:
         e = theta - degs[i] - degs[j]
         if e > 0:
-            upper[ij] = {e << shift | e: 1}
+            upper[ij] = (e << shift | e, 1)
     return AlternatingMatrix(degs, theta, m, ring, upper)
 
 
@@ -366,24 +365,19 @@ def _pf(slot: dict, idx: tuple, memo: dict) -> dict:
 
 def _specialize(size: int, upper: dict, index_sets) -> list[dict]:
     """The pfaffians on each index tuple of the alternating matrix with the
-    upper entries ``upper`` ((i, j) with i < j -> packed dict), as packed
-    dicts: the substitution x_ij -> a_ij into the generic pfaffians of its
-    support graph (``_plan``).
+    upper entries ``upper`` ((i, j) with i < j -> (packed key, coeff)), as
+    packed dicts: the substitution x_ij -> a_ij into the generic pfaffians
+    of its support graph (``_plan``).
 
-    The substitution is a ring map, so it commutes with the pfaffian; each
-    entry must be one term.  A term of a pfaffian on 2k indices adds k entry
-    keys, and once their degrees can sum past ``MAX_EXPONENT`` each term's
-    degree sum is tested, since a sum of three or more keys can carry past
-    a field and clear its guard bit again.
+    The substitution is a ring map, so it commutes with the pfaffian.  A
+    term of a pfaffian on 2k indices adds k entry keys, and once their
+    degrees can sum past ``MAX_EXPONENT`` each term's degree sum is tested,
+    since a sum of three or more keys can carry past a field and clear its
+    guard bit again.
     """
     terms_of = _plan(size, tuple(upper))
-    keys, coeffs = [], []
-    for ij, entry in upper.items():
-        if len(entry) != 1:
-            raise DomainError("input-error", f"entry {ij} is not a single term")
-        (key, c), = entry.items()
-        keys.append(key)
-        coeffs.append(c)
+    keys = [key for key, _ in upper.values()]
+    coeffs = [c for _, c in upper.values()]
     top = max((key & FIELD_MASK for key in keys), default=0)
     out = []
     for idx in index_sets:
@@ -418,10 +412,13 @@ def pfaffian_last_row(m: AlternatingMatrix, subset=None) -> SparsePolynomial:
             return
         rest = left[:-1]
         for pos, other in enumerate(rest):
-            for e, c in m.upper.get((other, left[-1]), {}).items():
-                if (key + e) & GUARD:
-                    raise _overflow()
-                match(rest[:pos] + rest[pos + 1:], key + e, -coeff * c if pos % 2 else coeff * c)
+            term = m.upper.get((other, left[-1]))
+            if term is None:
+                continue
+            e, c = term
+            if (key + e) & GUARD:
+                raise _overflow()
+            match(rest[:pos] + rest[pos + 1:], key + e, -coeff * c if pos % 2 else coeff * c)
 
     match(idx, 0, 1)
     return _clean(m.ring, {e: c for e, c in total.items() if c})
@@ -452,14 +449,15 @@ def pfaffian_int(mat) -> int:
                 raise DomainError("input-error", "matrix is not alternating")
     if n % 2:
         raise DomainError("input-error", f"pfaffian needs even size, got {n}")
-    upper = {(i + 1, j + 1): {0: mat[i][j]} for i in range(n) for j in range(i + 1, n)}
+    upper = {(i + 1, j + 1): (0, mat[i][j]) for i in range(n) for j in range(i + 1, n)}
     return _specialize(n, upper, [tuple(range(1, n + 1))])[0].get(0, 0)
 
 
 def pf_squared_equals_det(mat) -> bool:
     """Classical identity Pf(M)^2 = det(M), checked on an integer alternating
     specialization; det comes from the independent Bareiss routine."""
-    return pfaffian_int(mat) ** 2 == int_det(mat)
+    from . import intmat    # here, so the pfaffian routes do not load it
+    return pfaffian_int(mat) ** 2 == intmat.int_det(mat)
 
 
 @dataclass(frozen=True)

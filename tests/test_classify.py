@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from aci3 import (
     AciFamily,
     DomainError,
-    GorensteinDelta,
     allowed_couples,
+    as_delta,
     cancel_ah,
     cancel_couple,
     ci_hilbert,
@@ -26,6 +26,7 @@ from aci3 import (
     hilbert_from_betti,
     maximal_table,
     t_max,
+    theta_of,
 )
 from aci3.classify import EVEN, MAX_LINK_DEGREES, MAX_POSET_NODES, ODD, PosetEdge
 
@@ -85,14 +86,15 @@ class TestGaeta:
         assert not ok and "not an integer" in reason
 
     def test_bad_input(self):
-        with pytest.raises(DomainError):
-            GorensteinDelta((1, 2, 3, 4))  # even length
-        with pytest.raises(DomainError):
-            GorensteinDelta((3, 2, 4))  # unsorted
+        for build in (as_delta, gaeta_check):
+            with pytest.raises(DomainError):
+                build((1, 2, 3, 4))  # even length
+            with pytest.raises(DomainError):
+                build((3, 2, 4))  # unsorted
 
     def test_theta(self):
-        assert GorensteinDelta((2, 3, 3, 4, 4)).theta == 8
-        assert GorensteinDelta((1, 1, 1, 1, 1)).theta is None
+        assert theta_of((2, 3, 3, 4, 4)) == 8
+        assert theta_of((1, 1, 1, 1, 1)) is None
 
 
 class TestAciFamily:
@@ -355,17 +357,17 @@ class TestTMaxAndDStar:
 
 class TestDeltas:
     def test_frozen(self):
-        assert tuple(delta_low(3, 5)) == (2, 3, 3, 4, 4)
-        assert tuple(delta_low(3, 4)) == (1, 3, 3)
-        assert tuple(delta_high(3, 6)) == (3, 3, 3, 4, 5)
-        assert tuple(delta_high(2, 4)) == (2, 2, 2, 3, 3)
+        assert delta_low(3, 5) == (2, 3, 3, 4, 4)
+        assert delta_low(3, 4) == (1, 3, 3)
+        assert delta_high(3, 6) == (3, 3, 3, 4, 5)
+        assert delta_high(2, 4) == (2, 2, 2, 3, 3)
 
     def test_theta_is_a_plus_h(self):
         for a in range(2, 8):
             for h in range(a + 1, 2 * a):
-                assert delta_low(a, h).theta == a + h
+                assert theta_of(delta_low(a, h)) == a + h
             for h in range(2 * a, 3 * a - 1):
-                assert delta_high(a, h).theta == a + h
+                assert theta_of(delta_high(a, h)) == a + h
 
     def test_gaeta_passes(self):
         for a in range(2, 9):

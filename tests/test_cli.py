@@ -257,6 +257,31 @@ class TestInputErrors:
     def test_empty_text_is_the_empty_list(self):
         assert payload(["hf", "ci", "--degrees", ""]) == [1]
 
+    @pytest.mark.parametrize("route", [["gorenstein", "gaeta"], ["pfaffian", "alt"],
+                                       ["pfaffian", "sub", "--i", "1"]],
+                             ids=["gaeta", "alt", "sub"])
+    @pytest.mark.parametrize("delta, message", [
+        ("1,2,3,4", '"input-error","message":"length must be odd and >= 3, got 4"'),
+        ("2,1", '"input-error","message":"length must be odd and >= 3, got 2"'),
+        ("3,2,4", '"input-error","message":"degrees must be sorted ascending, got (3, 2, 4)"'),
+        ("0,1,1", '"input-error","message":"need degrees >= 1, got 0"'),
+        ("3,2,0", '"input-error","message":"need degrees >= 1, got 0"'),
+        ("1,1,1,1,1", '"theta-not-integral","message":"theta = 5/2 is not an integer"'),
+        ("2,,3", '"input-error","message":"expected comma-separated integers, got \'2,,3\'"'),
+    ], ids=["even-length", "even-length-first", "out-of-order", "entry-0", "floor-first",
+            "theta-not-integral", "empty-item"])
+    def test_bad_deltas_answer_byte_for_byte(self, route, delta, message, capsys):
+        # the length rule, then the integer floor, then the order, then theta
+        status = main([*route[:2], "--delta", delta, *route[2:]])
+        captured = capsys.readouterr()
+        if route[0] == "gorenstein" and "theta" in message:    # a verdict, not an error
+            assert (status, captured.err) == (0, "")
+            assert captured.out == ('{"ok":false,"reason":"theta = 5/2 is not an integer",'
+                                    '"theta":null}\n')
+        else:
+            assert (status, captured.out) == (1, "")
+            assert captured.err == '{"code":' + message + ',"status":"error"}\n'
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "tmax", "--help"])
@@ -517,6 +542,17 @@ print(json.dumps([first, codes, loaded()]))
 
 SHARED = ["aci3", "aci3.cli", "aci3.errors", "aci3.hilbert", "aci3.schemacheck"]
 
+# Group -> the modules each of its routes loads beyond SHARED
+ROUTE_LOADS = {
+    "hf": (),
+    "aci": ("monomials",),
+    "betti": ("intmat", "koszul", "monomials"),
+    "liaison": ("liaison",),
+    "classify": ("classify",),
+    "gorenstein": ("classify",),
+    "pfaffian": ("monomials", "pfaffians"),
+}
+
 
 def child_env(tmp_path):
     """The environment of a fresh interpreter that imports ``aci3`` from ``SRC``."""
@@ -549,6 +585,23 @@ class TestImportGraph:
     def test_only_verify_loads_verify(self, tmp_path):
         _, after = probe([argv for argv in TOUR if argv[0] != "verify"], tmp_path)
         assert "aci3.verify" not in after
+
+    @pytest.mark.parametrize("argv, modules", [
+        *(pytest.param(argv, ROUTE_LOADS[argv[0]], id=" ".join(argv[:2]))
+          for argv in TOUR if argv[0] in ROUTE_LOADS),
+        *(pytest.param(argv, modules, id=" ".join(argv[:4])) for argv, modules in [
+            (["export", "cas", "--kind", "pfaffian-q"],
+             ("cas", "classify", "monomials", "pfaffians")),
+            (["export", "cas", "--kind", "monomial",
+              "--ideal", '{"c":3,"gens":[[2,0,0],[0,2,0],[0,0,2]]}'], ("cas", "monomials")),
+            (["verify", "--scope", "monomial", "--max-degree", "2"],
+             ("liaison", "monomials", "verify")),
+            (["verify", "--scope", "gaeta"], ("classify", "verify")),
+        ]),
+    ])
+    def test_each_route_loads_exactly_its_modules(self, argv, modules, tmp_path):
+        _, after = probe([argv], tmp_path)
+        assert after == sorted(SHARED + [f"aci3.{m}" for m in modules])
 
     @pytest.mark.parametrize("scope, unloaded", [
         ("classification", {"aci3.pfaffians", "aci3.koszul", "aci3.monomials"}),

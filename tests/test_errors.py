@@ -12,7 +12,6 @@ from aci3 import (
     AciFamily,
     BettiTable,
     DomainError,
-    GorensteinDelta,
     HilbertFunction,
     LinkDatum,
     MonomialIdeal,
@@ -20,6 +19,7 @@ from aci3 import (
     SparsePolynomial,
     aci_construction,
     alt_matrix,
+    as_delta,
     cancel_couple,
     ci_hilbert,
     ci_link_identity,
@@ -56,7 +56,7 @@ ENTRY_POINTS = {
     "ci_hilbert": ((3, 3, 3), ci_hilbert),
     "koszul_table": ((2, 3), koszul_table),
     "aci_construction": ((3, 3, 3, 5), lambda v: aci_construction(v[:3], v[3])),
-    "GorensteinDelta": ((2, 3, 3, 4, 4), GorensteinDelta),
+    "as_delta": ((2, 3, 3, 4, 4), as_delta),
     "gaeta_check": ((2, 3, 3, 4, 4), gaeta_check),
     "alt_matrix": ((2, 3, 3, 4, 4), alt_matrix),
     "LinkDatum.of": ((3, 3, 3), LinkDatum.of),

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from aci3 import (
     BettiTable,
     DomainError,
-    GorensteinDelta,
     HilbertFunction,
+    as_delta,
     ci_hilbert,
     difference,
     hilbert_from_betti,
@@ -311,17 +311,18 @@ class TestAsDegrees:
 
     @given(st.lists(st.integers(-1, 9), max_size=9))
     def test_one_rule_one_place(self, values):
-        # as_degrees states the degree-sequence rule; GorensteinDelta adds
-        # only its length rule and refuses the rest as as_degrees does
+        # as_degrees states the degree-sequence rule; as_delta accepts exactly
+        # the degree sequences of odd length >= 3, checks the length first
+        # and refuses the rest as as_degrees does
         values = tuple(values)
         degrees = values == tuple(sorted(values)) and all(v >= 1 for v in values)
         got = outcome(as_degrees, values)
         assert (got == values) if degrees else (got[0] == "input-error")
-        delta = outcome(GorensteinDelta, values)
+        delta = outcome(as_delta, values)
         if len(values) % 2 == 0 or len(values) < 3:
             assert delta == ("input-error", f"length must be odd and >= 3, got {len(values)}")
         elif degrees:
-            assert delta.degrees == values
+            assert delta == values and type(delta) is tuple
         else:
             assert delta == got
 

@@ -473,7 +473,7 @@ class TestSubPfaffiansAgainstLastRow:
     @staticmethod
     def assert_refused(degree):
         m = alt_matrix((1, 1, 1, 1, 1, 1, 3))    # x_ij for i < j <= 6
-        big = {ij: {key * degree: 1} for ij, entry in m.upper.items() for key in entry}
+        big = {ij: (key * degree, 1) for ij, (key, _) in m.upper.items()}
         m = pfaffians.AlternatingMatrix(m.delta, m.theta, 7, m.ring, big)
         for expand in (lambda: pfaffian(m, range(1, 7)),
                        lambda: pfaffian_last_row(m, range(1, 7)),
@@ -484,8 +484,8 @@ class TestSubPfaffiansAgainstLastRow:
 
 
 def _hand_built(m, entries):
-    """m with the given upper entries, as {(i, j): {exponents: coeff}}."""
-    upper = {ij: {m.ring.pack(e): c for e, c in entry.items()} for ij, entry in entries.items()}
+    """m with the given upper entries, as {(i, j): (exponents, coeff)}."""
+    upper = {ij: (m.ring.pack(e), c) for ij, (e, c) in entries.items()}
     return pfaffians.AlternatingMatrix(m.delta, m.theta, m.size, m.ring, upper)
 
 
@@ -500,8 +500,8 @@ class TestHandBuiltEntries:
         n = len(m.ring.names)
         entries = data.draw(st.dictionaries(
             st.sampled_from(sorted(m.upper)),
-            st.tuples(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                      st.integers(-3, 3).filter(bool)).map(lambda t: {tuple(t[0]): t[1]})))
+            st.tuples(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+                      st.integers(-3, 3).filter(bool))))
         h = _hand_built(m, entries)
         full = range(1, 6)
         assert sub_pfaffians(h) == [pfaffian_last_row(h, [k for k in full if k != i])
@@ -517,23 +517,13 @@ class TestHandBuiltEntries:
         # their coefficients add up to the pfaffian of the integer matrix
         m = alt_matrix((4,) * 5)
         one = (0,) * len(m.ring.names)
-        h = _hand_built(m, {ij: {one: v} for ij, v in zip(sorted(m.upper), values)})
+        h = _hand_built(m, {ij: (one, v) for ij, v in zip(sorted(m.upper), values)})
         mat = [[0] * 4 for _ in range(4)]
         for (i, j), v in zip(sorted(m.upper), values):
             if j <= 4:
                 mat[i - 1][j - 1], mat[j - 1][i - 1] = v, -v
         pf = pfaffian_int(mat)
         assert pfaffian(h, range(1, 5)).packed == ({0: pf} if pf else {})
-
-    def test_entry_of_two_terms_refused(self):
-        m = alt_matrix((2, 3, 3, 4, 4))
-        x12 = (1,) + (0,) * (len(m.ring.names) - 1)
-        x13 = (0, 1) + (0,) * (len(m.ring.names) - 2)
-        h = _hand_built(m, {(1, 2): {x12: 1, x13: 1}, (3, 4): {x13: 1}})
-        for expand in (lambda: pfaffian(h, (1, 2, 3, 4)), lambda: sub_pfaffians(h)):
-            with pytest.raises(DomainError) as exc:
-                expand()
-            assert exc.value.code == "input-error"
 
 
 class TestWitnessIdeals:

@@ -195,7 +195,7 @@ def _unit_coefficients(monkeypatch):
     original = pfaffians._specialize
 
     def specialize(size, upper, index_sets):
-        units = {ij: {key: 1 for key in entry} for ij, entry in upper.items()}
+        units = {ij: (key, 1) for ij, (key, _) in upper.items()}
         return original(size, units, index_sets)
 
     monkeypatch.setattr(pfaffians, "_specialize", specialize)
