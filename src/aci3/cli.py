@@ -106,14 +106,22 @@ def _hilbert_csv(h: HilbertFunction) -> str:
     return "".join(f"{d},{v}\r\n" for d, v in [("degree", "value"), *enumerate(h.values)])
 
 
+# --ideal-file: the characters read, one more than this is refused (code
+# too-large) before any is parsed.  1000 small generators take about 40 KB.
+MAX_IDEAL_FILE = 1 << 20
+
+
 def _ideal_from_args(args) -> monomials.MonomialIdeal:
     from . import monomials
     if getattr(args, "ideal_file", None):
         try:
             with open(args.ideal_file) as fh:
-                text = fh.read()
+                text = fh.read(MAX_IDEAL_FILE + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError("input-error", f"cannot read {args.ideal_file}: {exc}") from exc
+        if len(text) > MAX_IDEAL_FILE:
+            raise DomainError("too-large", f"{args.ideal_file} holds more than "
+                                           f"{MAX_IDEAL_FILE} characters")
         data = _json_flag(text, args.ideal_file)
     elif getattr(args, "ideal", None):
         data = _json_flag(args.ideal, "--ideal")

@@ -17,7 +17,7 @@ from itertools import accumulate, chain, combinations
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError, as_ints
+from .errors import DomainError, as_ints, as_tuple
 
 # Size caps checked before any work (code too-large); the largest accepted
 # call of each function takes well under a second.
@@ -88,7 +88,7 @@ def as_degrees(degrees: DegreesLike) -> tuple[int, ...]:
 def as_delta(degrees: DegreesLike) -> tuple[int, ...]:
     """A Gorenstein degree sequence d_1 <= ... <= d_{2n+1}: odd length >= 3,
     checked first, then the degree-sequence rule of ``as_degrees``."""
-    degs = tuple(degrees)
+    degs = as_tuple(degrees, "degrees")
     if len(degs) % 2 == 0 or len(degs) < 3:
         raise DomainError("input-error", f"length must be odd and >= 3, got {len(degs)}")
     return as_degrees(degs)
@@ -116,8 +116,9 @@ class BettiTable:
 
     def __post_init__(self):
         as_ints((self.c,), "c", 1)
-        as_ints(chain.from_iterable(self.levels), "twists", 0)
-        lvls = tuple(tuple(sorted(level)) for level in self.levels)
+        levels = [as_tuple(level, "twists") for level in as_tuple(self.levels, "levels")]
+        as_ints(chain.from_iterable(levels), "twists", 0)
+        lvls = tuple(tuple(sorted(level)) for level in levels)
         if len(lvls) != self.c + 1:
             raise DomainError(
                 "input-error",

@@ -7,7 +7,7 @@ integers and results are exact in characteristic zero.
 
 from __future__ import annotations
 
-from .errors import as_ints
+from .errors import as_ints, as_tuple
 
 
 def _echelon(m: list[list[int]]) -> tuple[int, int, int]:
@@ -49,12 +49,13 @@ def _echelon(m: list[list[int]]) -> tuple[int, int, int]:
 
 def int_rank(rows) -> int:
     """Rank over the rationals of an integer matrix (list of rows)."""
-    return _echelon([list(as_ints(r, "matrix entries")) for r in rows])[0]
+    m = [list(as_ints(r, "matrix entries")) for r in as_tuple(rows, "matrix rows")]
+    return _echelon(m)[0]
 
 
 def int_det(mat) -> int:
     """Determinant of a square integer matrix."""
-    m = [list(as_ints(r, "matrix entries")) for r in mat]
+    m = [list(as_ints(r, "matrix entries")) for r in as_tuple(mat, "matrix rows")]
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix is not square")

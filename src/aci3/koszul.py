@@ -13,16 +13,17 @@ dropping terms where x_s m lands inside I.  Any consistent sign convention
 yields the same homology dimensions; this one is fixed for reproducibility.
 
 The differential preserves the Z^c multidegree b = m + 1_S, so each strand
-is the direct sum of its multidegree blocks.  The block of b has, in
-position i, the i-subsets S with b - 1_S a standard monomial; for c = 3 its
-matrices are at most 3 x 3.  When b is itself standard, every b - 1_S with
-S inside supp(b) is standard too, so the block is the Koszul complex of the
-full simplex on supp(b): exact unless b = 0, which carries beta_{0,0} = 1
-(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
-``betti_numbers`` therefore ranks only the blocks of non-standard b and
-reads beta_{i,b} = |bases_i| - rank M_i - rank M_{i+1} off each;
-``strand_matrices`` builds a whole strand and is kept as the cross-check
-the tests compare against.
+is the direct sum of its multidegree blocks.  The block of b depends on b
+alone: in position i it has the i-subsets S of supp(b) with b - 1_S
+standard; for c = 3 its matrices are at most 3 x 3.  When b is standard,
+so is every b - 1_S, and the block is the Koszul complex of the full simplex
+on supp(b): exact unless b = 0, which carries beta_{0,0} = 1
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).  When
+b - 1_supp(b), the least b - 1_S, is not standard, the block is empty.
+``multidegree_blocks`` walks the box below the pure powers, widened by one,
+and builds the block of every other b; ``betti_numbers`` reads beta_{i,b} =
+|bases_i| - rank M_i - rank M_{i+1} off each.  ``strand_matrices`` builds a
+whole strand and is kept as the cross-check the tests compare against.
 
 Matrices have entries in {-1, 0, 1}; ranks are computed by fraction-free
 integer elimination, so the answers are exact characteristic-zero values.
@@ -33,7 +34,7 @@ resolution with a monomial witness is checked.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import DomainError, as_ints
 from .hilbert import BettiTable
@@ -104,21 +105,17 @@ def multidegree_blocks(ideal: MonomialIdeal):
     std = _check_instance(ideal)
     c = ideal.c
     standard = {m for bucket in std for m in bucket}
-    bases_of: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
-    for i in range(1, c + 1):
-        for S in combinations(range(c), i):
-            ones = [int(k in S) for k in range(c)]
-            for m in standard:
-                b = tuple([e + o for e, o in zip(m, ones)])
-                if b in standard:
-                    continue
-                if b not in bases_of:
-                    bases_of[b] = [[] for _ in range(c + 1)]
-                bases_of[b][i].append(S)
-
+    # the box below the pure powers (each is top + 1), widened by one
+    box = product(*(range(top + 2) for top in map(max, zip(*standard))))
     blocks = []
-    for b in sorted(bases_of):
-        bases = bases_of[b]
+    for b in box:
+        # skip the exact full-simplex blocks and the empty ones
+        if b in standard or tuple([e - (e > 0) for e in b]) not in standard:
+            continue
+        support = [k for k, e in enumerate(b) if e]
+        bases = [[S for S in combinations(support, i)
+                  if tuple([e - (k in S) for k, e in enumerate(b)]) in standard]
+                 for i in range(c + 1)]
         mats = []
         for i in range(1, c + 1):
             # S - s is in the target basis exactly when x_s (b - 1_S) is standard

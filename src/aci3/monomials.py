@@ -17,7 +17,7 @@ from itertools import accumulate, chain, product
 from math import prod
 from operator import le
 
-from .errors import DomainError, as_ints
+from .errors import DomainError, as_ints, as_tuple
 from .hilbert import DegreesLike, HilbertFunction, as_degrees
 
 Monomial = tuple[int, ...]
@@ -74,7 +74,7 @@ class MonomialIdeal:
 
     def __post_init__(self):
         (c,) = as_ints((self.c,), "c", 1)
-        gens = [tuple(g) for g in self.gens]
+        gens = [as_tuple(g, "exponents") for g in as_tuple(self.gens, "generators")]
         for g in gens:
             if len(g) != c:
                 raise DomainError("input-error", f"bad exponent vector {list(g)} for c = {c}")

@@ -63,7 +63,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from struct import Struct
 
-from .errors import DomainError, as_ints
+from .errors import DomainError, as_ints, as_tuple
 from .hilbert import DegreesLike, as_delta, theta_of
 from .monomials import format_monomial
 
@@ -438,6 +438,7 @@ def pfaffian_int(mat) -> int:
     """Pfaffian of an integer alternating matrix (0-based list of rows): the
     generic pfaffian of the complete graph, with each entry substituted as a
     constant, as ``pfaffian`` substitutes the entries of Alt(delta)."""
+    mat = as_tuple(mat, "matrix rows")
     n = len(mat)
     if any(len(as_ints(row, "matrix entries")) != n for row in mat):
         raise DomainError("input-error", "matrix is not square")

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aci3 import (DomainError, MonomialIdeal, ci_hilbert, cli, export_cas, pfaffians,
-                  script_is_balanced, verify)
+from aci3 import (DomainError, MonomialIdeal, aci_construction, ci_hilbert, cli, export_cas,
+                  koszul_table, pfaffians, rigid_witness, script_is_balanced, verify)
 from aci3.cli import build_parser, main, run, validate_payload
 from aci3.schemacheck import compile_schema
 
@@ -392,6 +392,22 @@ class TestInputErrors:
         assert err["code"] == "internal-error"
         assert err["message"].startswith(exc_name + ": ")
 
+    @pytest.mark.parametrize("route", [["betti", "oracle"],
+                                       ["export", "cas", "--kind", "monomial"]],
+                             ids=["betti-oracle", "export-cas"])
+    def test_ideal_file_is_read_up_to_its_cap(self, route, tmp_path, monkeypatch, capsys):
+        # an ideal padded to exactly the cap is read; one character more is
+        # refused before any is parsed
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        path = tmp_path / "ideal.json"
+        path.write_text(_CI_222.ljust(cli.MAX_IDEAL_FILE))
+        assert run([*route, "--ideal-file", str(path)]).status == "ok"
+        path.write_text(_CI_222.ljust(cli.MAX_IDEAL_FILE + 1))
+        assert main([*route, "--ideal-file", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "code": "too-large", "status": "error",
+            "message": f"{path} holds more than 1048576 characters"}
+
     def test_pfaffian_sub_checks_i_before_expanding(self, fresh_plans, monkeypatch, capsys):
         def no_expansion(*args):
             raise AssertionError("expanded before checking --i")
@@ -702,9 +718,13 @@ class TestIntegerFlagFuzz:
 
 
 _CI_222 = '{"c":3,"gens":[[2,0,0],[0,2,0],[0,0,2]]}'
-# Each JSON flag, as (argv before its value, what it reads, argv after it).
-# An --ideal-file flag gets the value written to a file, and that file's path.
-JSON_FLAGS = {
+# The flags that read plain text; every other flag with neither a type nor
+# an action reads JSON.
+TEXT_FLAGS = {"--csv", "--kind", "--out", "--scope"}
+# The argv around each JSON flag: (argv before its value, what it reads,
+# argv after it).  An --ideal-file flag gets the value written to a file,
+# and that file's path.
+JSON_FLAG_ARGV = {
     "betti oracle --ideal": (["betti", "oracle", "--ideal"], "ideal", []),
     "betti oracle --ideal-file": (["betti", "oracle", "--ideal-file"], "ideal", []),
     "betti oracle --expected": (["betti", "oracle", "--ideal", _CI_222, "--expected"], "table", []),
@@ -715,6 +735,14 @@ JSON_FLAGS = {
                                 "ideal", []),
     "export cas --expected": (["export", "cas", "--kind", "monomial", "--ideal", _CI_222,
                                "--expected"], "table", []),
+}
+# Each JSON flag of cli.ROUTES, as "<route> <flag>", with its argv (None
+# until JSON_FLAG_ARGV gives it one), so that no JSON flag goes unfuzzed.
+JSON_FLAGS = {
+    key: JSON_FLAG_ARGV.get(key)
+    for key in sorted(" ".join([*route_argv(route), name]) for route in cli.ROUTES
+                      for name, kw in route.flags
+                      if not {"type", "action"} & kw.keys() and name not in TEXT_FLAGS)
 }
 NON_INTEGERS = st.none() | st.booleans() | st.floats() | st.text(max_size=2)
 JSON_VALUES = st.recursive(
@@ -769,6 +797,9 @@ def _run_json_flag(flag, value, fuzz_dir):
 
 
 class TestJsonFlagFuzz:
+    def test_each_json_flag_has_its_argv(self):
+        assert set(JSON_FLAG_ARGV) == set(JSON_FLAGS)
+
     @pytest.mark.parametrize("flag", sorted(JSON_FLAGS))
     @settings(max_examples=40)
     @given(data=st.data())
@@ -950,6 +981,21 @@ def pfaffian_check_sequences():
                 yield delta
 
 
+def oracle_ideals():
+    """The ideals of the pinned `betti oracle` payloads: the ACI construction
+    on (a, a, a) and (a - 1, a, a + 1) and the rigid witness for a <= 6,
+    CI(10, 10, 10, 10), the largest box the cap admits, and (x, y, z)^d for
+    d <= 8, whose staircases are thin."""
+    for a in range(2, 7):
+        yield from (aci_construction((a, a, a), h) for h in range(a + 1, 2 * a))
+    for a in range(3, 7):
+        yield from (aci_construction((a - 1, a, a + 1), h) for h in range(a + 2, 2 * a))
+    yield from (rigid_witness(a) for a in range(2, 7))
+    yield MonomialIdeal(4, [tuple(10 * (k == i) for k in range(4)) for i in range(4)])
+    for d in range(1, 9):
+        yield MonomialIdeal(3, [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)])
+
+
 class TestPinnedPayloads:
     """Exact outputs of routes whose implementation is shared with the library."""
 
@@ -1014,6 +1060,40 @@ class TestPinnedPayloads:
             text += stdout_of(["pfaffian", "alt", "--delta", int_list(delta)], capsys)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "9d9c0cc3972e7e37abc7dc150b9441a26fccc51e02aa679b3d2a539df60f9155"
+
+    def test_oracle_against_a_table_of_another_c(self, capsys):
+        argv = ["betti", "oracle", "--ideal", _CI_222,
+                "--expected", '{"c":2,"levels":[[0],[2,2],[4]]}']
+        assert stdout_of(argv, capsys) == (
+            '{"diff":[{"computed":"c = 3","expected":"c = 2","level":null}],"matches":false,'
+            '"table":{"c":3,"levels":[[0],[2,2,2],[4,4,4],[6]]}}\n')
+
+    def test_alt_past_nine_indices(self, capsys):
+        assert main(["pfaffian", "alt", "--delta", ",".join(["1"] * 11)]) == 1
+        assert capsys.readouterr().err == ('{"code":"too-large",'
+                                           '"message":"supported up to 9 indices, got 11",'
+                                           '"status":"error"}\n')
+
+    def test_monomial_export_with_expected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACI3_OUTPUT_DIR", str(tmp_path))
+        got = payload(["export", "cas", "--kind", "monomial", "--ideal", _CI_222,
+                       "--expected", '{"c":3,"levels":[[0],[2,2,2],[4,4,4],[6]]}'])
+        assert (got["bytes"], got["sha256"]) == (
+            236, "cd0d1f6bc6debc4b91d942dcf743fcbd2f3c5618ebfe1a30084b2b727127b0c3")
+        assert "--   2: {4, 4, 4}\n" in (tmp_path / "monomial.m2").read_text()
+
+    def test_betti_oracle_payloads(self, capsys):
+        # stdout, byte for byte, of `betti oracle` on each of oracle_ideals(),
+        # without and with --expected set to the table of the complete
+        # intersection of its pure powers (a match on the CIs, a diff elsewhere)
+        text = ""
+        for ideal in oracle_ideals():
+            argv = ["betti", "oracle", "--ideal", json.dumps(ideal.to_json())]
+            powers = sorted(sum(g) for g in ideal.gens if sum(map(bool, g)) == 1)
+            expected = json.dumps(koszul_table(powers).to_json())
+            text += stdout_of(argv, capsys) + stdout_of(argv + ["--expected", expected], capsys)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "1c29a34d0881dae479f3acc05abeb8cbec649ef03f419bb3c3a3d8d971b1208f"
 
 
 class TestExportCas:

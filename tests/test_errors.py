@@ -1,6 +1,8 @@
 """One integer rule: ``errors.as_ints`` is how every library entry point reads
 a caller's integers, so each refuses a bool, a float, a string and a
-Fraction with input-error instead of truncating or parsing it."""
+Fraction with input-error instead of truncating or parsing it.  Where an
+entry point wants a sequence, ``errors.as_tuple`` refuses a bare scalar the
+same way.  The last test pins refusals that no other test reaches."""
 
 from fractions import Fraction
 
@@ -28,9 +30,11 @@ from aci3 import (
     delta_low,
     difference,
     enumerate_tables,
+    export_cas,
     gaeta_check,
     koszul_table,
     link_hilbert,
+    mapping_cone_twists,
     maximal_table,
     min_generator_bound,
     pfaffian,
@@ -44,6 +48,7 @@ from aci3.classify import check_h_window
 from aci3.errors import as_ints
 from aci3.hilbert import as_degrees
 from aci3.intmat import int_det, int_rank
+from aci3.monomials import colon, intersect
 
 RING = PolyRing(("x", "y"))
 ALT = alt_matrix((2, 3, 3, 4, 4))
@@ -161,3 +166,70 @@ def test_truncated_or_parsed_once(call):
     with pytest.raises(DomainError, match="need integer") as exc:
         call()
     assert exc.value.code == "input-error"
+
+
+# name -> the call on a value where the entry point wants a sequence (for
+# the constructors of nested values, at the outer level or one item)
+SEQUENCE_ENTRY_POINTS = {
+    "as_ints": lambda v: as_ints(v, "x"),
+    "as_degrees": as_degrees,
+    "as_delta": as_delta,
+    "ci_hilbert": ci_hilbert,
+    "koszul_table": koszul_table,
+    "aci_construction": lambda v: aci_construction(v, 5),
+    "gaeta_check": gaeta_check,
+    "alt_matrix": alt_matrix,
+    "LinkDatum.of": LinkDatum.of,
+    "link_hilbert": lambda v: link_hilbert(v, HilbertFunction((1, 2, 1))),
+    "mapping_cone_twists": lambda v: mapping_cone_twists(EVEN_3_5, v),
+    "HilbertFunction": HilbertFunction,
+    "BettiTable": lambda v: BettiTable(3, v),
+    "BettiTable-level": lambda v: BettiTable(3, ((0,), v, (4, 4, 4), (6,))),
+    "MonomialIdeal": lambda v: MonomialIdeal(3, v),
+    "MonomialIdeal-generator": lambda v: MonomialIdeal(3, ((2, 0, 0), v)),
+    "PolyRing.pack": RING.pack,
+    "pfaffian": lambda v: pfaffian(ALT, v),
+    "pfaffian_int": pfaffian_int,
+    "pfaffian_int-row": lambda v: pfaffian_int(((0, 1), v)),
+    "int_rank": int_rank,
+    "int_rank-row": lambda v: int_rank(((1, 2), v)),
+    "int_det": int_det,
+    "int_det-row": lambda v: int_det(((1, 2), v)),
+    "cancel_couple": lambda v: cancel_couple(EVEN_3_5, v),
+}
+SCALARS = st.one_of(st.integers(), st.floats(), st.none())
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_ENTRY_POINTS))
+@settings(max_examples=15)
+@given(bad=SCALARS)
+def test_each_entry_point_refuses_a_scalar_for_a_sequence(name, bad):
+    if name == "pfaffian" and bad is None:
+        return      # no index set: the pfaffian of the whole matrix
+    with pytest.raises(DomainError) as exc:
+        SEQUENCE_ENTRY_POINTS[name](bad)
+    assert exc.value.code == "input-error"
+    assert str(exc.value).endswith(f", got {bad!r}")
+
+
+@pytest.mark.parametrize("call, code, message", [
+    (lambda: pfaffian(ALT, (1, 1)), "input-error", "repeated index in (1, 1)"),
+    (lambda: pfaffian(ALT, (0, 1)), "input-error", "indices out of range in (0, 1)"),
+    (lambda: pfaffian(ALT, (1, 6)), "input-error", "indices out of range in (1, 6)"),
+    (lambda: pfaffian_int([[0, 1], [-1, 0], [0, 0]]), "input-error", "matrix is not square"),
+    (lambda: pfaffian_int([[0, 1], [1, 0]]), "input-error", "matrix is not alternating"),
+    (lambda: alt_matrix((1,) * 11), "too-large", "supported up to 9 indices, got 11"),
+    (lambda: export_cas("monomial"), "input-error", "monomial export needs an ideal"),
+    (lambda: AciFamily(3, 5, "both"), "invalid-family", "parity must be even or odd, got 'both'"),
+    (lambda: koszul_table(()), "input-error", "need at least one degree"),
+    (lambda: intersect(MonomialIdeal(2, ((1, 0),)), MonomialIdeal(3, ((1, 0, 0),))),
+     "input-error", "variable counts differ"),
+    (lambda: colon(MonomialIdeal(2, ((1, 0),)), MonomialIdeal(3, ((1, 0, 0),))),
+     "input-error", "variable counts differ"),
+], ids=["repeated-index", "index-0", "index-past-size", "pfaffian_int-not-square",
+        "pfaffian_int-not-alternating", "alt_matrix-11", "export_cas-no-ideal",
+        "AciFamily-parity", "koszul_table-empty", "intersect-c", "colon-c"])
+def test_rare_refusals(call, code, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert (exc.value.code, str(exc.value)) == (code, message)

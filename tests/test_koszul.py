@@ -290,7 +290,16 @@ class TestBettiNumbers:
 
 
 class TestStrandBlocks:
-    IDEALS = (aci_construction((2, 3, 4), 5), rigid_witness(4))
+    IDEALS = (
+        aci_construction((2, 3, 4), 5),
+        rigid_witness(4),
+        # (x, y, z)^4: a thin staircase far below most of its widened box
+        MonomialIdeal(3, [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]),
+        # four variables, not a complete intersection
+        MonomialIdeal(4, ((3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3),
+                          (1, 1, 0, 1), (2, 0, 1, 0), (0, 1, 1, 2))),
+        MonomialIdeal(1, ((4,),)),
+    )
 
     def test_block_bases_partition_the_strand(self):
         # the returned blocks, all of non-standard b, and the left-out blocks
