@@ -9,8 +9,12 @@ s = 3a + h for the duality shift of the linked Gorenstein ideal:
   * a first syzygy of degree a + h exists iff t is even, and then it is
     unique at both level 2 and level 3;
   * h >= 2a forces t odd;
+  * h = a + 1 is rigid: t = 2;
   * the distinguished generator degree d* is a when t is even and h when t
     is odd.
+
+``h_window(a)`` states that window and its low (h < 2a) and high (h >= 2a)
+parts once, for every check of h, the parity rule and the odd floor.
 
 For each parity there is a maximal table.  Two moves cancel summands from
 levels 2 and 3: ``cancel_couple`` removes a couple R(-i) (+) R(-(s - i))
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, as_ints
+from .errors import DomainError, as_ints, check_h
 from .hilbert import BettiTable, DegreesLike, as_delta, theta_of
 
 EVEN = "even"
@@ -42,15 +46,29 @@ MAX_POSET_NODES = 4095
 MAX_LINK_DEGREES = 10 ** 4
 
 
-def check_h_window(a: int, h: int, code: str = "h-out-of-range") -> None:
-    """Raise unless a and h are ints, a + 1 <= h <= 3a - 2: the (a, h) window."""
+class HWindow(NamedTuple):
+    """The h of the (a, h) families and the two parts of that window."""
+
+    full: range    # a + 1 <= h <= 3a - 2
+    low: range     # h < 2a: t even or odd; t = 2 at the rigid h = a + 1
+    high: range    # h >= 2a: t odd
+
+
+def h_window(a: int) -> HWindow:
+    """The one statement of the (a, h) window."""
+    return HWindow(range(a + 1, 3 * a - 1), range(a + 1, 2 * a), range(2 * a, 3 * a - 1))
+
+
+def check_h_window(a: int, h: int, code: str = "h-out-of-range") -> HWindow:
+    """The window of a; raise unless a and h are ints and h is in it."""
     as_ints((a, h), "a and h")
-    if not a + 1 <= h <= 3 * a - 2:
-        raise DomainError(code, f"h outside ({a + 1} .. {3 * a - 2}): got {h}")
+    window = h_window(a)
+    check_h(h, window.full, code)
+    return window
 
 
-def _check_parity(a: int, h: int, even: bool) -> None:
-    if even and h >= 2 * a:
+def _check_parity(window: HWindow, h: int, even: bool) -> None:
+    if even and h in window.high:
         raise DomainError("invalid-family", f"h = {h} >= 2a forces an odd last-syzygy count")
 
 
@@ -62,9 +80,9 @@ def d_star(a: int, h: int, t: int) -> int:
     ``check_h_window``, input-error for t < 2 and invalid-family for even t with h >= 2a.
     """
     as_ints((a,), "a", 2)
-    check_h_window(a, h)
+    window = check_h_window(a, h)
     as_ints((t,), "t", 2)    # every table has t >= 2
-    _check_parity(a, h, t % 2 == 0)
+    _check_parity(window, h, t % 2 == 0)
     return a if t % 2 == 0 else h
 
 
@@ -81,20 +99,18 @@ class AciFamily:
         a, h = as_ints((self.a, self.h), "a and h")
         if a < 2:
             raise DomainError("invalid-family", f"need a >= 2, got {a}")
-        check_h_window(a, h, "invalid-family")
+        window = check_h_window(a, h, "invalid-family")
         if self.parity not in (EVEN, ODD):
             raise DomainError("invalid-family", f"parity must be even or odd, got {self.parity!r}")
-        _check_parity(a, h, self.parity == EVEN)
-        if self.parity == ODD and h < a + 2:
-            raise DomainError(
-                "invalid-family",
-                f"h = a + 1 is rigid with t = 2: the odd family needs h >= {a + 2}",
-            )
+        _check_parity(window, h, self.parity == EVEN)
+        if self.parity == ODD and h == window.low.start:
+            raise DomainError("invalid-family",
+                              f"h = a + 1 is rigid with t = 2: the odd family needs h >= {a + 2}")
 
     @property
     def high(self) -> bool:
-        """True for the h >= 2a branch of the odd family."""
-        return self.parity == ODD and self.h >= 2 * self.a
+        """True for the high part (h >= 2a) of the odd family."""
+        return self.parity == ODD and self.h in h_window(self.a).high
 
     @property
     def shift(self) -> int:
@@ -173,20 +189,17 @@ def maximal_table(fam: AciFamily) -> AciTable:
     return AciTable(a, h, fam.parity, table)
 
 
-def allowed_couples(fam: AciFamily) -> tuple[tuple[int, int], ...]:
-    """The cancellable couples {i, 3a+h-i} of the family, each listed once.
+def _couple_window(fam: AciFamily) -> range:
+    """The lower twist i of each cancellable couple {i, 3a+h-i}: the twists
+    run over [2a+1, a+h-1], or [h+1, 3a-1] in the high part of the odd
+    family, both symmetric about (3a+h)/2.  When h - a is even the middle
+    couple pairs the two copies of the duplicated middle summand."""
+    return range(fam.h + 1 if fam.high else 2 * fam.a + 1, fam.shift // 2 + 1)
 
-    The window is [2a+1, a+h-1] except for the h >= 2a branch, where it is
-    [h+1, 3a-1]; both are symmetric about (3a+h)/2.  When h - a is even the
-    middle couple pairs the two copies of the duplicated middle summand.
-    """
-    a, h = fam.a, fam.h
-    if fam.high:
-        lo = h + 1
-    else:
-        lo = 2 * a + 1
-    s = fam.shift
-    return tuple((i, s - i) for i in range(lo, s // 2 + 1))
+
+def allowed_couples(fam: AciFamily) -> tuple[tuple[int, int], ...]:
+    """The cancellable couples of the family, each listed once."""
+    return tuple((i, fam.shift - i) for i in _couple_window(fam))
 
 
 def _remove_twists(level: tuple[int, ...], twists) -> tuple[int, ...]:
@@ -286,15 +299,16 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
     before any table is built.
     """
     as_ints((a,), "a", 2)
-    check_h_window(a, h)
-    # d independent cancellations give 2^d subsets; the t-floor drops the full
-    # one.  Comparing d first keeps a huge h from building a huge 2^d.
-    d = (h - a) // 2 + 1 if h < 2 * a else (3 * a - h) // 2
+    high = h in check_h_window(a, h).high
+    seed = AciFamily(a, h, ODD if high else EVEN)
+    # d independent cancellations, the couples and below h = 2a the a+h bit,
+    # give 2^d subsets; the t-floor drops the full one.  Comparing d first
+    # keeps a huge h from building a huge 2^d (len() of its range overflows).
+    couples = _couple_window(seed)
+    d = couples.stop - couples.start + (not high)
     if d > MAX_POSET_NODES.bit_length() or 2 ** d - 1 > MAX_POSET_NODES:
         raise DomainError("too-large", f"(a, h) = ({a}, {h}): the table poset has "
                                        f"2^{d} - 1 nodes, more than {MAX_POSET_NODES}")
-    high = h >= 2 * a
-    seed = AciFamily(a, h, ODD if high else EVEN)
     moves = [("couple", pair) for pair in allowed_couples(seed)]
     if not high:
         moves.append(("ah", (a + h,)))
@@ -331,14 +345,12 @@ def t_max(a: int) -> int:
 
 def _link_delta(a: int, h: int, high: bool) -> tuple[int, ...]:
     """(a, a, h-a) and the degrees strictly between max(a, h-a) and
-    min(h, 2a), with (a+h)/2 doubled when h - a is even; h in the high
-    window 2a .. 3a - 2 or the low one a + 1 .. 2a - 1, and a length of at
-    most ``MAX_LINK_DEGREES``, are checked before any list is built."""
+    min(h, 2a), with (a+h)/2 doubled when h - a is even; h in the high or
+    the low part of ``h_window(a)``, and a length of at most
+    ``MAX_LINK_DEGREES``, are checked before any list is built."""
     as_ints((a,), "a", 2)
     as_ints((h,), "h")
-    lo, hi = (2 * a, 3 * a - 2) if high else (a + 1, 2 * a - 1)
-    if not lo <= h <= hi:
-        raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
+    check_h(h, h_window(a).high if high else h_window(a).low)
     between = range(max(a, h - a) + 1, min(h, 2 * a))
     doubled = [(a + h) // 2] if (h - a) % 2 == 0 else []
     length = 3 + len(between) + len(doubled)

@@ -35,3 +35,9 @@ def as_ints(values, what: str, floor: int | None = None) -> tuple[int, ...]:
         bad = next(v for v in vals if v < floor)
         raise DomainError("input-error", f"need {what} >= {floor}, got {bad}")
     return vals
+
+
+def check_h(h: int, window: range, code: str = "h-out-of-range") -> None:
+    """Refuse an h outside the window, naming its ends: the one h message."""
+    if h not in window:
+        raise DomainError(code, f"h outside ({window.start} .. {window.stop - 1}): got {h}")

@@ -206,12 +206,7 @@ def difference(h: HilbertFunction, k: int = 1) -> tuple[int, ...]:
         raise DomainError("too-large", f"order {k} on {len(h.values)} values: too many steps")
     vals = list(h.values)
     for _ in range(k):
-        nxt = []
-        for n in range(len(vals) + 1):
-            cur = vals[n] if n < len(vals) else 0
-            prev = vals[n - 1] if n - 1 >= 0 else 0
-            nxt.append(cur - prev)
-        vals = nxt
+        vals = [cur - prev for cur, prev in zip(vals + [0], [0] + vals)]
     return tuple(vals)
 
 
@@ -314,9 +309,7 @@ def min_generator_bound(h: HilbertFunction, c: int, j: int) -> int:
                 f"not a Hilbert function for {c} variables",
             )
 
-    def dim_ideal(n: int) -> int:
-        if n < 0:
-            return 0
+    def dim_ideal(n: int) -> int:   # both counts are 0 below degree 0
         return _monomial_count(n, c) - h.at(n)
 
     return max(0, dim_ideal(j) - c * dim_ideal(j - 1))

@@ -151,14 +151,9 @@ def compare_tables(computed: BettiTable, expected: BettiTable):
         return False, [{"level": None,
                         "expected": f"c = {expected.c}",
                         "computed": f"c = {computed.c}"}]
-    diffs = []
-    for i in range(computed.c + 1):
-        if computed.levels[i] != expected.levels[i]:
-            diffs.append({
-                "level": i,
-                "expected": list(expected.levels[i]),
-                "computed": list(computed.levels[i]),
-            })
+    diffs = [{"level": i, "expected": list(want), "computed": list(got)}
+             for i, (got, want) in enumerate(zip(computed.levels, expected.levels))
+             if got != want]
     return not diffs, diffs
 
 

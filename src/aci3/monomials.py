@@ -7,7 +7,7 @@ structural.  Variables print as x, y, z, w for c <= 4 and x1, x2, ... above.
 The headline construction is ``aci_construction``: the monomial almost
 complete intersection whose Hilbert function equals that of the complete
 intersection with the same degrees, for any extra-generator degree h in the
-admissible window.
+admissible window, ``construction_window``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import accumulate, chain, product
 from math import prod
 from operator import le
 
-from .errors import DomainError, as_ints, as_tuple
+from .errors import DomainError, as_ints, as_tuple, check_h
 from .hilbert import DegreesLike, HilbertFunction, as_degrees
 
 Monomial = tuple[int, ...]
@@ -229,13 +229,19 @@ def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return result
 
 
+def construction_window(degs: tuple[int, ...]) -> range:
+    """The h of ``aci_construction`` for sorted degrees a_1 <= ... <= a_r:
+    a_r + 1 <= h <= a_r + a_1 - 1."""
+    return range(degs[-1] + 1, degs[-1] + degs[0])
+
+
 def aci_construction(degrees: DegreesLike, h: int) -> MonomialIdeal:
     """Monomial almost complete intersection with the Hilbert function of
     the complete intersection CI(degrees).
 
     Generators: x_i^{a_i} for i < r, x_r^h, and the extra monomial
     x_1^{a_1 + a_r - h} x_2^{a_2 - a_1} ... x_{r-1}^{a_{r-1} - a_{r-2}}
-    x_r^{h - a_{r-1}}, for a_r + 1 <= h <= a_r + a_1 - 1.
+    x_r^{h - a_{r-1}}, for h in ``construction_window(degrees)``.
     """
     degs = as_degrees(degrees)
     as_ints((h,), "h")
@@ -243,19 +249,13 @@ def aci_construction(degrees: DegreesLike, h: int) -> MonomialIdeal:
     if r < 2:
         raise DomainError("input-error", f"need at least 2 degrees, got {r}")
     as_ints(degs, "degrees", 2)
-    lo, hi = degs[-1] + 1, degs[-1] + degs[0] - 1
-    if not lo <= h <= hi:
-        raise DomainError("h-out-of-range", f"h outside ({lo} .. {hi}): got {h}")
-    _check_box(degs[:-1] + (h,))     # the box below the pure powers, before the ideal
-    gens = []
-    for i in range(r - 1):
-        gens.append(tuple(degs[i] if k == i else 0 for k in range(r)))
-    gens.append(tuple(h if k == r - 1 else 0 for k in range(r)))
-    extra = [degs[0] + degs[-1] - h]
-    extra.extend(degs[i] - degs[i - 1] for i in range(1, r - 1))
-    extra.append(h - degs[-2])
-    gens.append(tuple(extra))
-    return MonomialIdeal(r, tuple(gens))
+    check_h(h, construction_window(degs))
+    powers = degs[:-1] + (h,)
+    _check_box(powers)     # the box below the pure powers, before the ideal
+    gens = [tuple(p if k == i else 0 for k in range(r)) for i, p in enumerate(powers)]
+    extra = (degs[0] + degs[-1] - h, *(degs[i] - degs[i - 1] for i in range(1, r - 1)),
+             h - degs[-2])
+    return MonomialIdeal(r, (*gens, extra))
 
 
 def rigid_witness(a: int) -> MonomialIdeal:
@@ -273,16 +273,8 @@ def rigid_witness(a: int) -> MonomialIdeal:
 
 def ci_type(ideal: MonomialIdeal):
     """Sorted pure-power degrees if the ideal is a monomial complete
-    intersection (one pure power per variable), else None."""
-    if len(ideal.gens) != ideal.c:
+    intersection (one pure power per variable), else None.  The generators
+    are minimal, so no two pure powers share a variable."""
+    if len(ideal.gens) != ideal.c or any(len(g) - g.count(0) != 1 for g in ideal.gens):
         return None
-    seen = {}
-    for g in ideal.gens:
-        support = [i for i, e in enumerate(g) if e > 0]
-        if len(support) != 1:
-            return None
-        (i,) = support
-        if i in seen:
-            return None
-        seen[i] = g[i]
-    return tuple(sorted(seen.values()))
+    return tuple(sorted(map(sum, ideal.gens)))

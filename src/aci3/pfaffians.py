@@ -86,6 +86,7 @@ class PolyRing:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "names", as_tuple(self.names, "variable names"))
         # a key's bytes: the n exponents, then the degree
         object.__setattr__(self, "layout", Struct(f">{len(self.names) + 1}H"))
 
@@ -124,8 +125,9 @@ class SparsePolynomial:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        coeffs = as_ints(terms.values(), "coefficients")
-        self.packed = {ring.pack(e): c for e, c in zip(terms, coeffs) if c}
+        expos = as_tuple(terms, "terms")
+        coeffs = as_ints([terms[e] for e in expos], "coefficients")
+        self.packed = {ring.pack(e): c for e, c in zip(expos, coeffs) if c}
 
     @property
     def terms(self) -> dict:

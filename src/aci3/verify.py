@@ -5,10 +5,11 @@ All checks are exact (tolerance zero); the checks are grouped into scopes so
 desk-scale bounds (generator-degree caps, a caps) can be adjusted from the
 command line, up to ``MAX_DEGREE`` and ``MAX_A``.
 
-To declare a check, decorate it with ``@_check("<scope>/<name>")``: the body
-returns the detail line of a pass or raises ``_Failed(detail)``, and the
-decorator makes either a :class:`CheckResult`.  Then list it under its scope
-in ``_PLAN``, mapping ``max_degree`` and ``max_a`` onto its own bounds.
+A check is declared once, by ``@_check("<scope>/<name>", bound)`` on its
+body, which returns the detail line of a pass or raises ``_Failed(detail)``.
+``verify_suite`` passes the check ``bound(max_degree, max_a)``, or nothing
+when ``bound`` is None, and runs the checks in source order: ``_PLAN`` and
+``SCOPES`` are read off the declarations.  The h windows are the library's.
 
 A ``verify`` process runs one scope, so each check imports the kernel
 modules it calls in its own body and calls them through the module, where a
@@ -29,29 +30,14 @@ from .hilbert import ci_hilbert, hilbert_from_betti
 if TYPE_CHECKING:
     from . import classify
 
-# Scope -> its checks, in run order.  An entry looks its check up by name when
-# it runs, so a replaced module attribute (a tracer, a test stub) is what runs.
-_PLAN = {
-    "monomial": (lambda max_degree, max_a: check_aci_hilbert(max_degree),
-                 lambda max_degree, max_a: check_colon_link(max_degree)),
-    "betti": (lambda max_degree, max_a: check_rigid_resolution(min(max_a, 5)),),
-    "classification": (lambda max_degree, max_a: check_classification_coherence(max_a),
-                       lambda max_degree, max_a: check_t_max(max(max_a, 8)),
-                       lambda max_degree, max_a: check_ah_cancellation(max_a)),
-    "liaison": (lambda max_degree, max_a: check_ci_link_identity(max(max_a, 8)),),
-    "gaeta": (lambda max_degree, max_a: check_gaeta(max(max_a, 8)),),
-    "pfaffian": (lambda max_degree, max_a: check_pfaffian_degrees(),
-                 lambda max_degree, max_a: check_pf_squared(),
-                 lambda max_degree, max_a: check_witness_degrees()),
-    "cas": (lambda max_degree, max_a: check_cas_scripts(),),
-}
-SCOPES = tuple(_PLAN)
-
 # Bounds above these are too-large, and bounds below 2 an input-error, both
 # refused before any check runs: at both caps ``--scope all`` takes about a
 # second.
 MAX_DEGREE = 12
 MAX_A = 14
+DEFAULT_MAX_DEGREE, DEFAULT_MAX_A = 5, 6     # verify_suite's, and a check's called bare
+PFAFFIAN_MAX_LEN, PFAFFIAN_MAX_ENTRY = 7, 8  # the deltas check_pfaffian_degrees expands
+PF_SQUARED_TRIALS = 100                      # random matrices per size in check_pf_squared
 
 
 @dataclass(frozen=True)
@@ -74,44 +60,47 @@ class Report:
         return all(c.ok for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "scope": self.scope,
-            "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return {"scope": self.scope, "passed": self.passed,
+                "checks": [c.to_json() for c in self.checks]}
 
 
 class _Failed(Exception):
     """Raised by a check body; its one argument is the failure detail."""
 
 
-def _check(name: str):
-    """Declare a check named ``name``: the only place a CheckResult is built."""
+# Scope -> (check name in this module, bound rule) for each check, in run
+# order.  verify_suite looks each check up by name when it runs, so a
+# replaced module attribute (a tracer, a test stub) is what runs.
+_PLAN: dict[str, list[tuple[str, object]]] = {}
+
+
+def _check(name: str, bound=None):
+    """Declare a check named ``name``: the only place a CheckResult is built,
+    and the check's one entry in ``_PLAN`` (see the module docstring)."""
     def declare(body):
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
+            if bound is not None and not (args or kwargs):
+                args = (bound(DEFAULT_MAX_DEGREE, DEFAULT_MAX_A),)
             try:
                 return CheckResult(name, True, body(*args, **kwargs))
             except _Failed as failure:
                 return CheckResult(name, False, failure.args[0])
+        _PLAN.setdefault(name.partition("/")[0], []).append((body.__name__, bound))
         return check
     return declare
 
 
-def _sorted_triples(lo: int, hi: int):
-    return combinations_with_replacement(range(lo, hi + 1), 3)
-
-
-@_check("monomial/aci-hilbert-equals-ci")
-def check_aci_hilbert(max_degree: int = 5) -> CheckResult:
+@_check("monomial/aci-hilbert-equals-ci", lambda max_degree, max_a: max_degree)
+def check_aci_hilbert(max_degree: int) -> CheckResult:
     """The monomial almost complete intersection has four minimal generators
     and the complete intersection's Hilbert function, for every degree
     triple and admissible h."""
     from . import monomials
     cases = 0
-    for degs in _sorted_triples(2, max_degree):
+    for degs in combinations_with_replacement(range(2, max_degree + 1), 3):
         expected = ci_hilbert(degs)
-        for h in range(degs[2] + 1, degs[2] + degs[0]):
+        for h in monomials.construction_window(degs):
             ideal = monomials.aci_construction(degs, h)
             if len(ideal.gens) != len(degs) + 1:     # the CI has the same Hilbert function
                 raise _Failed(f"{len(ideal.gens)} minimal generators at degrees {degs}, h = {h}")
@@ -121,16 +110,16 @@ def check_aci_hilbert(max_degree: int = 5) -> CheckResult:
     return f"{cases} (degrees, h) cases, degrees <= {max_degree}"
 
 
-@_check("monomial/colon-link-type")
-def check_colon_link(max_degree: int = 5) -> CheckResult:
+@_check("monomial/colon-link-type", lambda max_degree, max_a: max_degree)
+def check_colon_link(max_degree: int) -> CheckResult:
     """The colon of the pure-power complete intersection by the monomial ACI
     is a monomial complete intersection of type (h - a3, a1, a2), and the
     Hilbert-function link reproduces its Hilbert function."""
     from . import liaison, monomials
     cases = 0
-    for degs in _sorted_triples(2, max_degree):
+    for degs in combinations_with_replacement(range(2, max_degree + 1), 3):
         a1, a2, a3 = degs
-        for h in range(a3 + 1, a3 + a1):
+        for h in monomials.construction_window(degs):
             quotient = monomials.aci_construction(degs, h)
             ci = monomials.MonomialIdeal(3, ((a1, 0, 0), (0, a2, 0), (0, 0, h)))
             linked = monomials.colon(ci, quotient)
@@ -146,8 +135,8 @@ def check_colon_link(max_degree: int = 5) -> CheckResult:
     return f"{cases} (degrees, h) cases, degrees <= {max_degree}"
 
 
-@_check("betti/rigid-resolution-oracle")
-def check_rigid_resolution(max_a: int = 5) -> CheckResult:
+@_check("betti/rigid-resolution-oracle", lambda max_degree, max_a: min(max_a, 5))
+def check_rigid_resolution(max_a: int) -> CheckResult:
     """The Koszul-homology oracle on (x^a, y^(a+1), z^a, x^(a-1)y) returns
     exactly the rigid h = a + 1 table, the maximal table of the even (a, a+1)
     family, for a = 2..max_a."""
@@ -188,8 +177,8 @@ def _coherence_failure(a: int, h: int, node: classify.AciTable, expected) -> str
     return None
 
 
-@_check("classification/coherence")
-def check_classification_coherence(max_a: int = 6) -> CheckResult:
+@_check("classification/coherence", lambda max_degree, max_a: max_a)
+def check_classification_coherence(max_a: int) -> CheckResult:
     """Every enumerated table reproduces H_CI(a,a,a); the self-dual part of
     level 3 is fixed under j -> 3a+h-j; a+h sits at level 2 iff t is even
     (multiplicity one at levels 2 and 3); h >= 2a forces odd t; and d* is a
@@ -198,7 +187,7 @@ def check_classification_coherence(max_a: int = 6) -> CheckResult:
     tables = 0
     for a in range(2, max_a + 1):
         expected = ci_hilbert((a, a, a))
-        for h in range(a + 1, 3 * a - 1):
+        for h in classify.h_window(a).full:
             for node in classify.enumerate_tables(a, h).nodes:
                 failure = _coherence_failure(a, h, node, expected)
                 if failure is not None:
@@ -208,8 +197,8 @@ def check_classification_coherence(max_a: int = 6) -> CheckResult:
     return f"{tables} tables, a = 2..{max_a}, all admissible h"
 
 
-@_check("classification/t-max")
-def check_t_max(max_a: int = 8) -> CheckResult:
+@_check("classification/t-max", lambda max_degree, max_a: max(max_a, 8))
+def check_t_max(max_a: int) -> CheckResult:
     """max t over the tables enumerated at h = 2a equals a+1 for even a and
     a for odd a; for even a this is also the maximum over every h."""
     from . import classify
@@ -219,27 +208,25 @@ def check_t_max(max_a: int = 8) -> CheckResult:
             raise _Failed(f"a = {a}: max t at h = 2a is {at_2a}, expected {classify.t_max(a)}")
         if a % 2 == 0:
             overall = max(node.t
-                          for h in range(a + 1, 3 * a - 1)
+                          for h in classify.h_window(a).full
                           for node in classify.enumerate_tables(a, h).nodes)
             if overall != classify.t_max(a):
                 raise _Failed(f"a = {a}: global max t {overall} != {classify.t_max(a)}")
     return f"a = 2..{max_a}, attained at h = 2a"
 
 
-@_check("classification/ah-cancellation")
-def check_ah_cancellation(max_a: int = 6) -> CheckResult:
+@_check("classification/ah-cancellation", lambda max_degree, max_a: max_a)
+def check_ah_cancellation(max_a: int) -> CheckResult:
     """cancel_ah succeeds on an even-family table iff t >= 4, and its output
     is the odd-family table obtained by the same couple cancellations."""
     from . import classify
     cases = 0
     for a in range(2, max_a + 1):
-        for h in range(a + 1, 2 * a):
+        for h in classify.h_window(a).low:
             poset = classify.enumerate_tables(a, h)
             odd_levels = {node.table.levels for node in poset.nodes
                           if node.parity == classify.ODD}
-            for node in poset.nodes:
-                if node.parity != classify.EVEN:
-                    continue
+            for node in [node for node in poset.nodes if node.parity == classify.EVEN]:
                 if node.t >= 4:
                     got = classify.cancel_ah(node)
                     if got.t != node.t - 1 or got.table.levels not in odd_levels:
@@ -256,29 +243,30 @@ def check_ah_cancellation(max_a: int = 6) -> CheckResult:
     return f"{cases} even-family tables, a = 2..{max_a}"
 
 
-@_check("liaison/ci-link-identity")
-def check_ci_link_identity(max_a: int = 8) -> CheckResult:
+@_check("liaison/ci-link-identity", lambda max_degree, max_a: max(max_a, 8))
+def check_ci_link_identity(max_a: int) -> CheckResult:
     """H_CI(a,a,h)(n) - H_CI(a,a,a)(2a+h-3-n) = H_CI(h-a,a,a)(n) throughout."""
-    from . import liaison
+    from . import classify, liaison
     cases = 0
     for a in range(2, max_a + 1):
-        for h in range(a + 1, 3 * a - 1):
+        for h in classify.h_window(a).full:
             if not liaison.ci_link_identity(a, h):
                 raise _Failed(f"fails at (a, h) = ({a}, {h})")
             cases += 1
     return f"{cases} (a, h) pairs, a = 2..{max_a}"
 
 
-@_check("gaeta/delta-builders")
-def check_gaeta(max_a: int = 8) -> CheckResult:
+@_check("gaeta/delta-builders", lambda max_degree, max_a: max(max_a, 8))
+def check_gaeta(max_a: int) -> CheckResult:
     """Both delta builders pass the Gaeta conditions over their full ranges;
     the known good sequence passes and a constructed violator fails."""
     from . import classify
     for a in range(2, max_a + 1):
-        for h in range(a + 1, 2 * a):
+        window = classify.h_window(a)
+        for h in window.low:
             if not classify.gaeta_check(classify.delta_low(a, h)).ok:
                 raise _Failed(f"delta_low({a}, {h}) fails")
-        for h in range(2 * a, 3 * a - 1):
+        for h in window.high:
             if not classify.gaeta_check(classify.delta_high(a, h)).ok:
                 raise _Failed(f"delta_high({a}, {h}) fails")
     if not classify.gaeta_check((2, 3, 3, 4, 4)).ok:
@@ -289,10 +277,10 @@ def check_gaeta(max_a: int = 8) -> CheckResult:
 
 
 @_check("pfaffian/sub-pfaffian-degrees")
-def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
+def check_pfaffian_degrees() -> CheckResult:
     """Each sub-pfaffian p_i of Alt(delta) is homogeneous of degree d_i, for
-    every sorted delta with integral theta, length <= max_len, entries <=
-    max_entry.  On the first matrix of each support graph the p_i equal the
+    every sorted delta with integral theta, length <= ``PFAFFIAN_MAX_LEN``,
+    entries <= ``PFAFFIAN_MAX_ENTRY``.  On the first matrix of each support graph the p_i equal the
     cross-check ``pfaffian_last_row``, a signed sum over perfect matchings.
     Each entry of Alt(delta) is a power of its own variable, so p_i has one
     term, with coefficient +-1, per perfect matching of the support graph
@@ -302,10 +290,10 @@ def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
     cases = terms = 0
     units = {1, -1}
     term_counts = {}    # support graph -> the number of terms of each p_i
-    for length in range(3, max_len + 1, 2):
+    for length in range(3, PFAFFIAN_MAX_LEN + 1, 2):
         n = (length - 1) // 2
         full = tuple(range(1, length + 1))
-        for degs in combinations_with_replacement(range(1, max_entry + 1), length):
+        for degs in combinations_with_replacement(range(1, PFAFFIAN_MAX_ENTRY + 1), length):
             if sum(degs) % n:
                 continue
             m = pfaffians.alt_matrix(degs)
@@ -325,32 +313,34 @@ def check_pfaffian_degrees(max_entry: int = 8, max_len: int = 7) -> CheckResult:
                     raise _Failed(f"p_{i + 1} is not {counts[i]} terms +-1 for delta = {degs}")
             terms += sum(counts)
             cases += 1
-    return (f"{cases} degree sequences, length <= {max_len}, entries <= {max_entry}, "
+    return (f"{cases} degree sequences, length <= {PFAFFIAN_MAX_LEN}, "
+            f"entries <= {PFAFFIAN_MAX_ENTRY}, "
             f"{terms} terms, one per perfect matching")
 
 
-def random_alternating(size: int, rng: random.Random, bound: int = 9):
+def random_alternating(size: int, rng: random.Random):
+    """An integer alternating matrix with entries in -9..9 above the diagonal."""
     mat = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            v = rng.randint(-bound, bound)
+            v = rng.randint(-9, 9)
             mat[i][j] = v
             mat[j][i] = -v
     return mat
 
 
 @_check("pfaffian/pf-squared-equals-det")
-def check_pf_squared(trials: int = 100) -> CheckResult:
+def check_pf_squared() -> CheckResult:
     """Pf(M)^2 = det(M) on random integer alternating specializations of
     sizes 2, 4, 6 (det from the independent Bareiss routine)."""
     from . import pfaffians
     rng = random.Random(0)
     for size in (2, 4, 6):
-        for _ in range(trials):
+        for _ in range(PF_SQUARED_TRIALS):
             mat = random_alternating(size, rng)
             if not pfaffians.pf_squared_equals_det(mat):
                 raise _Failed(f"failure at size {size}: {mat}")
-    return f"{trials} trials per size in (2, 4, 6)"
+    return f"{PF_SQUARED_TRIALS} trials per size in (2, 4, 6)"
 
 
 @_check("pfaffian/witness-ideals")
@@ -389,7 +379,8 @@ def check_cas_scripts() -> CheckResult:
     return "3 kinds, byte-stable and balanced"
 
 
-def verify_suite(scope: str = "all", max_degree: int = 5, max_a: int = 6) -> Report:
+def verify_suite(scope: str = "all", max_degree: int = DEFAULT_MAX_DEGREE,
+                 max_a: int = DEFAULT_MAX_A) -> Report:
     """Run the named scope (or all scopes) and collect per-check results."""
     if scope != "all" and scope not in SCOPES:
         raise DomainError("input-error",
@@ -402,4 +393,11 @@ def verify_suite(scope: str = "all", max_degree: int = 5, max_a: int = 6) -> Rep
     if max_a > MAX_A:
         raise DomainError("too-large", f"max_a {max_a} exceeds {MAX_A}")
     scopes = SCOPES if scope == "all" else (scope,)
-    return Report(scope, tuple(run(max_degree, max_a) for s in scopes for run in _PLAN[s]))
+    checks = []
+    for name, bound in (run for s in scopes for run in _PLAN[s]):
+        check = globals()[name]
+        checks.append(check() if bound is None else check(bound(max_degree, max_a)))
+    return Report(scope, tuple(checks))
+
+
+SCOPES = tuple(_PLAN)

@@ -23,20 +23,20 @@ def _report(number: int, title: str, result):
 
 def test_c01_monomial_aci_realizes_every_ci_sequence():
     start = time.perf_counter()
-    result = verify.check_aci_hilbert(max_degree=5)
+    result = verify.check_aci_hilbert()
     elapsed = time.perf_counter() - start
     _report(1, "monomial ACI Hilbert functions (degrees <= 5, all h)", result)
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
 
 
 def test_c02_colon_is_ci_and_link_agrees():
-    result = verify.check_colon_link(max_degree=5)
+    result = verify.check_colon_link()
     _report(2, "colon ideal is a CI of type (h-a3, a1, a2); link agrees", result)
 
 
 def test_c03_rigid_resolution_oracle():
     start = time.perf_counter()
-    result = verify.check_rigid_resolution(max_a=5)
+    result = verify.check_rigid_resolution()
     elapsed = time.perf_counter() - start
     _report(3, "Koszul oracle reproduces the rigid h = a+1 table, a = 2..5", result)
     assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
@@ -44,7 +44,7 @@ def test_c03_rigid_resolution_oracle():
 
 def test_c04_classification_coherence():
     start = time.perf_counter()
-    result = verify.check_classification_coherence(max_a=6)
+    result = verify.check_classification_coherence()
     elapsed = time.perf_counter() - start
     _report(4, "table coherence (Hilbert, duality, a+h law, parity, d*)", result)
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
@@ -63,29 +63,29 @@ def test_largest_poset_within_budget():
 
 
 def test_c05_t_max():
-    result = verify.check_t_max(max_a=8)
+    result = verify.check_t_max()
     _report(5, "max last-syzygy count at h = 2a, a = 2..8", result)
 
 
 def test_c06_ah_cancellation():
-    result = verify.check_ah_cancellation(max_a=6)
+    result = verify.check_ah_cancellation()
     _report(6, "a+h cancellable exactly when t >= 4, lands in odd family", result)
 
 
 def test_c07_ci_link_identity():
-    result = verify.check_ci_link_identity(max_a=8)
+    result = verify.check_ci_link_identity()
     _report(7, "CI link identity for a = 2..8, all admissible h", result)
 
 
 def test_c08_gaeta():
-    result = verify.check_gaeta(max_a=8)
+    result = verify.check_gaeta()
     _report(8, "Gaeta conditions on both delta builders plus known cases", result)
 
 
 def test_c09_pfaffian_engine():
     start = time.perf_counter()
-    degrees = verify.check_pfaffian_degrees(max_entry=8, max_len=7)
-    squared = verify.check_pf_squared(trials=100)
+    degrees = verify.check_pfaffian_degrees()
+    squared = verify.check_pf_squared()
     witness = verify.check_witness_degrees()
     elapsed = time.perf_counter() - start
     _report(9, "sub-pfaffian degrees (len <= 7, entries <= 8)", degrees)

@@ -187,7 +187,9 @@ SEQUENCE_ENTRY_POINTS = {
     "BettiTable-level": lambda v: BettiTable(3, ((0,), v, (4, 4, 4), (6,))),
     "MonomialIdeal": lambda v: MonomialIdeal(3, v),
     "MonomialIdeal-generator": lambda v: MonomialIdeal(3, ((2, 0, 0), v)),
+    "PolyRing": PolyRing,
     "PolyRing.pack": RING.pack,
+    "SparsePolynomial": lambda v: SparsePolynomial(RING, v),
     "pfaffian": lambda v: pfaffian(ALT, v),
     "pfaffian_int": pfaffian_int,
     "pfaffian_int-row": lambda v: pfaffian_int(((0, 1), v)),
