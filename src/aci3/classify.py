@@ -21,9 +21,11 @@ levels 2 and 3: ``cancel_couple`` removes a couple R(-i) (+) R(-(s - i))
 within a fixed twist window (odd-parity families require t >= 5 at the time
 of cancellation, keeping t >= 3), and ``cancel_ah`` removes the single
 R(-(a+h)) pair, moving an even-parity table with t >= 4 to the odd family.
-These cancellations are independent, so ``enumerate_tables`` builds the
-table poset in closed form: one node per subset of them except the one that
-cancels everything, which the t-floor forbids.
+Both check their rule and end in ``BettiTable.cancel(2, twists)``.  These
+cancellations are independent, so ``enumerate_tables`` builds the table
+poset in closed form: one node per subset of them except the one that
+cancels everything, which the t-floor forbids.  An ``AciTable`` stores no
+parity: it reads it off t, as ``d_star`` does.
 
 ``delta_low`` and ``delta_high`` build the generator-degree sequences of the
 linked Gorenstein ideals realizing the maximal tables, as plain tuples; both
@@ -83,6 +85,11 @@ def d_star(a: int, h: int, t: int) -> int:
     window = check_h_window(a, h)
     as_ints((t,), "t", 2)    # every table has t >= 2
     _check_parity(window, h, t % 2 == 0)
+    return _read_d_star(a, h, t)
+
+
+def _read_d_star(a: int, h: int, t: int) -> int:
+    """d* read off a valid table, without the checks: a for even t, h for odd t."""
     return a if t % 2 == 0 else h
 
 
@@ -147,16 +154,20 @@ def gaeta_check(delta: DegreesLike) -> GaetaResult:
 
 @dataclass(frozen=True)
 class AciTable:
-    """Betti table annotated with its (a, h, parity) family tags."""
+    """Betti table annotated with its (a, h) family tags."""
 
     a: int
     h: int
-    parity: str
     table: BettiTable
 
     @property
     def t(self) -> int:
         return self.table.t
+
+    @property
+    def parity(self) -> str:
+        """EVEN iff t is even, the reading of ``d_star``."""
+        return EVEN if self.t % 2 == 0 else ODD
 
     @property
     def family(self) -> AciFamily:
@@ -168,7 +179,7 @@ class AciTable:
             "h": self.h,
             "parity": self.parity,
             "t": self.t,
-            "d_star": d_star(self.a, self.h, self.t),
+            "d_star": _read_d_star(self.a, self.h, self.t),
             "levels": [list(level) for level in self.table.levels],
         }
 
@@ -181,12 +192,10 @@ def maximal_table(fam: AciFamily) -> AciTable:
     free = [j for pair in allowed_couples(fam) for j in pair]
     if fam.parity == EVEN:
         free.append(a + h)
-    level1 = sorted((a, a, a, h))
-    level2 = sorted([h, 2 * a, 2 * a, 2 * a] + free)
-    level3 = sorted(free + [3 * a])
-    table = BettiTable(3, ((0,), tuple(level1), tuple(level2), tuple(level3)))
-    assert table.t % 2 == (0 if fam.parity == EVEN else 1)
-    return AciTable(a, h, fam.parity, table)
+    top = AciTable(a, h, BettiTable(3, ((0,), (a, a, a, h), (h, 2 * a, 2 * a, 2 * a, *free),
+                                        (*free, 3 * a))))
+    assert top.parity == fam.parity
+    return top
 
 
 def _couple_window(fam: AciFamily) -> range:
@@ -200,23 +209,6 @@ def _couple_window(fam: AciFamily) -> range:
 def allowed_couples(fam: AciFamily) -> tuple[tuple[int, int], ...]:
     """The cancellable couples of the family, each listed once."""
     return tuple((i, fam.shift - i) for i in _couple_window(fam))
-
-
-def _remove_twists(level: tuple[int, ...], twists) -> tuple[int, ...]:
-    out = list(level)
-    for j in twists:
-        if j not in out:
-            raise DomainError("couple-not-present", f"twist {j} not present in {list(level)}")
-        out.remove(j)
-    return tuple(out)
-
-
-def _cancel(tbl: AciTable, twists: tuple[int, ...], parity: str) -> AciTable:
-    """The table with the twists removed from levels 2 and 3, in the given parity."""
-    levels = tbl.table.levels
-    table = BettiTable(3, (levels[0], levels[1], _remove_twists(levels[2], twists),
-                           _remove_twists(levels[3], twists)))
-    return AciTable(tbl.a, tbl.h, parity, table)
 
 
 def cancel_couple(tbl: AciTable, couple: tuple[int, int]) -> AciTable:
@@ -235,7 +227,7 @@ def cancel_couple(tbl: AciTable, couple: tuple[int, int]) -> AciTable:
         )
     if fam.parity == ODD and tbl.t < 5:
         raise DomainError("t-floor", f"t = {tbl.t} < 5: t would drop below 3")
-    return _cancel(tbl, pair, tbl.parity)
+    return AciTable(tbl.a, tbl.h, tbl.table.cancel(2, pair))
 
 
 def cancel_ah(tbl: AciTable) -> AciTable:
@@ -250,7 +242,7 @@ def cancel_ah(tbl: AciTable) -> AciTable:
         raise DomainError("no-ah-syzygy", "no a+h syzygy (odd last-syzygy count)")
     if tbl.t < 4:
         raise DomainError("not-cancellable", f"t = {tbl.t} < 4: R(-{ah}) is not cancellable")
-    return _cancel(tbl, (ah,), ODD)
+    return AciTable(tbl.a, tbl.h, tbl.table.cancel(2, (ah,)))
 
 
 class PosetEdge(NamedTuple):
@@ -288,15 +280,14 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
 
     The d cancellations (the ``allowed_couples``, plus a+h below h = 2a) are
     independent, so each table is one subset of them, held as a bitmask
-    (couples in order, then a+h): its levels keep the maximal table's free
-    twists that it does not cancel, and it is odd iff h >= 2a or it cancels
-    a+h.  The t-floor forbids only the subset that cancels everything, so
-    the poset has 2^d - 1 nodes.  Nodes are ordered lexicographically by
-    their level multisets, and each node's edges follow it, one per further
-    cancellation: couples in ``allowed_couples`` order, then the a+h edge.
-    ``cancel_couple`` and ``cancel_ah`` are the same moves one table at a
-    time.  Posets with more than ``MAX_POSET_NODES`` nodes raise too-large
-    before any table is built.
+    (couples in order, then a+h): the maximal table with those moves
+    cancelled by ``BettiTable.cancel``, its parity read off t.  The t-floor
+    forbids only the subset that cancels everything, so the poset has
+    2^d - 1 nodes.  Nodes are ordered lexicographically by their level
+    multisets, and each node's edges follow it, one per further cancellation:
+    couples in ``allowed_couples`` order, then the a+h edge.  ``cancel_couple``
+    and ``cancel_ah`` are the same moves one table at a time.  Posets with
+    more than ``MAX_POSET_NODES`` nodes raise too-large before any table is built.
     """
     as_ints((a,), "a", 2)
     high = h in check_h_window(a, h).high
@@ -312,28 +303,19 @@ def enumerate_tables(a: int, h: int) -> TablePoset:
     moves = [("couple", pair) for pair in allowed_couples(seed)]
     if not high:
         moves.append(("ah", (a + h,)))
-    # the maximal table's levels 0 and 1, and its levels 2 and 3 without the
-    # free twists that the moves cancel
-    top = maximal_table(seed).table.levels
-    free = [j for _, twists in moves for j in twists]
-    head, forced2, forced3 = top[:2], _remove_twists(top[2], free), _remove_twists(top[3], free)
     full = (1 << d) - 1     # cancels everything: the t-floor leaves it out
-    found = []
-    for mask in range(full):
-        kept = tuple([j for i, (_, twists) in enumerate(moves) if not mask >> i & 1
-                      for j in twists])
-        found.append((head + (tuple(sorted(forced2 + kept)), tuple(sorted(forced3 + kept))),
-                      mask))
-    found.sort()
-    position = {mask: i for i, (_, mask) in enumerate(found)}
-    ah_bit = 0 if high else 1 << (d - 1)
-    nodes = tuple(AciTable(a, h, ODD if high or mask & ah_bit else EVEN, BettiTable(3, levels))
-                  for levels, mask in found)
+    # by mask: a mask's table cancels its top move in the table of the rest
+    tables = [maximal_table(seed).table]
+    for mask in range(1, full):
+        i = mask.bit_length() - 1
+        tables.append(tables[mask ^ 1 << i].cancel(2, moves[i][1]))
+    order = sorted(range(full), key=lambda mask: tables[mask].levels)
+    position = {mask: i for i, mask in enumerate(order)}
     edges = tuple(PosetEdge(position[mask], position[mask | 1 << i], kind, twists)
-                  for _, mask in found
+                  for mask in order
                   for i, (kind, twists) in enumerate(moves)
                   if not mask >> i & 1 and mask | 1 << i != full)
-    return TablePoset(a, h, nodes, edges)
+    return TablePoset(a, h, tuple(AciTable(a, h, tables[mask]) for mask in order), edges)
 
 
 def t_max(a: int) -> int:

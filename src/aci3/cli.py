@@ -424,10 +424,11 @@ def _cmd_export_cas(args):
 @_route("verify",
         _flag("--scope", default="all",
               help="all (the default) or one scope; an unknown one is refused with the list"),
-        _flag("--max-degree", type=int, default=5), _flag("--max-a", type=int, default=6))
+        _flag("--max-degree", type=int), _flag("--max-a", type=int))
 def _cmd_verify(args):
     from . import verify
-    report = verify.verify_suite(args.scope, max_degree=args.max_degree, max_a=args.max_a)
+    bounds = {"max_degree": args.max_degree, "max_a": args.max_a}   # verify_suite's if not given
+    report = verify.verify_suite(args.scope, **{k: v for k, v in bounds.items() if v is not None})
     for check in report.checks:
         word = "ok  " if check.ok else "FAIL"
         print(f"{word} {check.name}: {check.detail}", file=sys.stderr)

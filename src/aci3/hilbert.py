@@ -7,11 +7,14 @@ quotient by the unit ideal), which shows up as a degenerate liaison result.
 
 Betti tables are recorded as one sorted multiset of twists per homological
 level: a summand R(-j) contributes the integer j at its level.  Level 0 is
-always the single twist 0.
+always the single twist 0.  ``BettiTable.cancel`` is the one edit of a table,
+a consecutive cancellation (Peeva, Proc. AMS 2004): one R(-j) leaves level i
+and one leaves level i + 1, which keeps the Hilbert function.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from math import comb
@@ -135,13 +138,33 @@ class BettiTable:
 
     def is_minimal(self) -> bool:
         """Every twist at level i+1 strictly exceeds the minimum at level i."""
-        for i in range(self.c):
-            if not self.levels[i] or not self.levels[i + 1]:
-                continue
-            lo = min(self.levels[i])
-            if any(j <= lo for j in self.levels[i + 1]):
-                return False
-        return True
+        return all(j > lower[0] for lower, upper in zip(self.levels, self.levels[1:])
+                   if lower for j in upper)
+
+    def cancel(self, i: int, twists: DegreesLike) -> "BettiTable":
+        """The consecutive cancellation of one R(-j) at levels i and i + 1 for each j
+        in twists; a missing twist is couple-not-present, level i checked first."""
+        (i,), twists = as_ints((i,), "level", 0), as_ints(twists, "twists")
+        if i >= self.c:
+            raise DomainError("input-error", f"level {i} has no level above it for c = {self.c}")
+        levels = list(self.levels)
+        for k in (i, i + 1):
+            out = list(levels[k])
+            for j in twists:
+                if j not in out:
+                    raise DomainError("couple-not-present",
+                                      f"twist {j} not present in {list(levels[k])}")
+                out.remove(j)
+            levels[k] = tuple(out)
+        return BettiTable(self.c, tuple(levels))
+
+    def candidates(self) -> tuple[tuple[int, int], ...]:
+        """The (i, j) that ``cancel(i, (j,))`` accepts, each as often as it
+        can be cancelled: the twists shared by levels i and i + 1, at the
+        lower multiplicity, by level and then by twist.  A (0, 0) pair flags
+        a unit generator; ``cancel`` refuses it, since level 0 stays (0,)."""
+        return tuple((i, j) for i in range(self.c)   # & keeps the sorted order of level i
+                     for j in (Counter(self.levels[i]) & Counter(self.levels[i + 1])).elements())
 
     def max_twist(self) -> int:
         return max((j for level in self.levels for j in level), default=0)

@@ -87,8 +87,11 @@ class MappingCone:
     function of the link."""
 
     table: BettiTable
-    candidates: tuple[tuple[int, int], ...]  # (level, twist), multiset
     hg: HilbertFunction
+
+    @property
+    def candidates(self) -> tuple[tuple[int, int], ...]:   # (level, twist), a multiset
+        return self.table.candidates()
 
     def to_json(self) -> dict:
         return {
@@ -96,17 +99,6 @@ class MappingCone:
             "candidates": [list(c) for c in self.candidates],
             "hg": self.hg.to_json(),
         }
-
-
-def _cancellation_candidates(table: BettiTable) -> tuple[tuple[int, int], ...]:
-    out = []
-    for i in range(table.c):
-        upper = list(table.levels[i + 1])
-        for j in table.levels[i]:
-            if j in upper:
-                upper.remove(j)
-                out.append((i, j))
-    return tuple(out)
 
 
 def mapping_cone_twists(b_q: BettiTable, z: DegreesLike) -> MappingCone:
@@ -137,4 +129,4 @@ def mapping_cone_twists(b_q: BettiTable, z: DegreesLike) -> MappingCone:
     h_cone = hilbert_from_betti(table)
     if h_cone != h_g:
         raise DomainError("inconsistent-link-data", "inconsistent link data")
-    return MappingCone(table, _cancellation_candidates(table), h_g)
+    return MappingCone(table, h_g)

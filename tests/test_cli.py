@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from aci3 import (DomainError, MonomialIdeal, aci_construction, ci_hilbert, cli, export_cas,
                   koszul_table, pfaffians, rigid_witness, script_is_balanced, verify)
+from aci3.classify import EVEN, ODD, AciFamily, h_window, maximal_table
 from aci3.cli import build_parser, main, run, validate_payload
 from aci3.schemacheck import compile_schema
 
@@ -1041,6 +1042,30 @@ class TestPinnedPayloads:
     @pytest.mark.parametrize("a, h, want", [(4, 6, TABLES_4_6), (5, 10, TABLES_5_10)])
     def test_classify_tables(self, a, h, want, capsys):
         assert stdout_of(["classify", "tables", "--a", str(a), "--h", str(h)], capsys) == want + "\n"
+
+    def test_classify_tables_payloads(self, capsys):
+        # stdout, byte for byte, of `classify tables` at every (a, h) with a <= 9
+        text = ""
+        for a in range(2, 10):
+            for h in h_window(a).full:
+                text += stdout_of(["classify", "tables", "--a", str(a), "--h", str(h)], capsys)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "c4bb0ea3b22cf5d073b37c05a8417b0190b66e1de88a6e052c238fc60ed7c3ae"
+
+    def test_liaison_cone_payloads(self, capsys):
+        # stdout, byte for byte, of `liaison cone` on the maximal table of each
+        # family with a <= 6, over Z = (a, a, h)
+        text = ""
+        for a in range(2, 7):
+            window = h_window(a)
+            for h in window.full:
+                parities = ([EVEN] if h in window.low else []) + ([ODD] if h > a + 1 else [])
+                for parity in parities:
+                    table = maximal_table(AciFamily(a, h, parity)).table
+                    text += stdout_of(["liaison", "cone", "--z", int_list((a, a, h)),
+                                       "--table", json.dumps(table.to_json())], capsys)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "4360b6918420e3da1e1e8d4220d33fc04ae93300d7863d4a917d654d566b7d3a"
 
     def test_degree_sequence_payloads(self, capsys):
         # stdout, byte for byte, of `hf recognize` on the CI function of every

@@ -23,7 +23,9 @@ from aci3 import (
     recognize_ci,
     socle_degree,
 )
+from aci3.classify import enumerate_tables, h_window
 from aci3.hilbert import as_degrees, betti_alternating_sum
+from aci3.liaison import mapping_cone_twists
 
 
 def poly_mul(a, b):
@@ -356,6 +358,53 @@ class TestBettiTable:
     def test_json_round_trip(self):
         table = koszul_table((2, 2, 3))
         assert BettiTable.from_json(table.to_json()) == table
+
+
+@st.composite
+def classified_tables(draw):
+    """A node of enumerate_tables with a <= 6, or its mapping cone over (a, a, h)."""
+    a = draw(st.integers(2, 6))
+    h = draw(st.sampled_from(h_window(a).full))
+    node = draw(st.sampled_from(enumerate_tables(a, h).nodes))
+    return draw(st.sampled_from([node.table, mapping_cone_twists(node.table, (a, a, h)).table]))
+
+
+class TestCancel:
+    @given(classified_tables())
+    def test_every_candidate_cancels_and_keeps_the_hilbert_function(self, table):
+        hf = hilbert_from_betti(table)
+        for i, j in table.candidates():
+            got = table.cancel(i, (j,))
+            assert [len(level) for level in got.levels] == [
+                len(level) - (k in (i, i + 1)) for k, level in enumerate(table.levels)]
+            assert hilbert_from_betti(got) == hf
+
+    @given(classified_tables(), st.data())
+    def test_a_twist_no_two_levels_share_is_refused(self, table, data):
+        i = data.draw(st.integers(0, table.c - 1))
+        j = data.draw(st.integers(0, table.max_twist() + 1)
+                      .filter(lambda j: (i, j) not in table.candidates()))
+        with pytest.raises(DomainError, match=f"twist {j} not present in ") as exc:
+            table.cancel(i, (j,))
+        assert exc.value.code == "couple-not-present"
+
+    def test_candidates_count_the_shared_twists(self):
+        table = BettiTable(3, ((0,), (2, 3, 3, 4), (3, 3, 3, 4, 4, 5), (5, 5)))
+        assert table.candidates() == ((1, 3), (1, 3), (1, 4), (2, 5))
+        assert table.cancel(1, (3, 4)).levels == ((0,), (2, 3), (3, 3, 4, 5), (5, 5))
+
+    def test_level_i_is_checked_first(self):
+        table = BettiTable(3, ((0,), (2,), (4,), (6,)))
+        with pytest.raises(DomainError, match=re.escape("twist 6 not present in [4]")):
+            table.cancel(2, (6,))
+        with pytest.raises(DomainError, match=re.escape("twist 4 not present in [6]")):
+            table.cancel(2, (4,))
+
+    @pytest.mark.parametrize("i", [-1, 3, 1.0, True])
+    def test_a_level_without_a_level_above_is_refused(self, i):
+        with pytest.raises(DomainError) as exc:
+            koszul_table((2, 2, 2)).cancel(i, (4,))
+        assert exc.value.code == "input-error"
 
 
 class TestSizeCaps:

@@ -4,6 +4,7 @@ under its usual name, when one of its dependencies gives a wrong answer."""
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -72,7 +73,35 @@ ALSO_BROKEN = {
     "pfaffian/witness-ideals-generator-dropped": (
         verify.check_witness_degrees, "pfaffian/witness-ideals",
         classify, "maximal_table", lambda fam: _drop_a_twist(fam, 1)),
+    # a table of no artinian algebra: hilbert_from_betti refuses it
+    "classification/coherence-3a-dropped": (
+        verify.check_classification_coherence, "classification/coherence",
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _drop_3a)),
+    # the same Hilbert function, but no a+h pair for the self-dual part to drop
+    "classification/coherence-ah-shifted": (
+        verify.check_classification_coherence, "classification/coherence",
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _shift_ah)),
 }
+
+
+def _edit_nodes(a, h, edit, original=classify.enumerate_tables):
+    # the (a, h) poset with each node's levels 2 and 3 edited
+    poset = original(a, h)
+    nodes = tuple(replace(node, table=BettiTable(3, node.table.levels[:2] + edit(a, h, node)))
+                  for node in poset.nodes)
+    return replace(poset, nodes=nodes)
+
+
+def _drop_3a(a, h, node):
+    level3 = list(node.table.levels[3])
+    del level3[level3.index(3 * a)]
+    return node.table.levels[2], tuple(level3)
+
+
+def _shift_ah(a, h, node):
+    # an even node's a+h pair moves to a+h+1 at levels 2 and 3
+    shift = {a + h: a + h + 1} if node.t % 2 == 0 else {}
+    return tuple(tuple(shift.get(j, j) for j in node.table.levels[k]) for k in (2, 3))
 
 
 def _drop_a_twist(fam, level, original=classify.maximal_table):
@@ -80,7 +109,7 @@ def _drop_a_twist(fam, level, original=classify.maximal_table):
     top = original(fam)
     levels = list(top.table.levels)
     levels[level] = levels[level][1:]
-    return classify.AciTable(top.a, top.h, top.parity, BettiTable(3, tuple(levels)))
+    return classify.AciTable(top.a, top.h, BettiTable(3, tuple(levels)))
 
 
 def _constant(m, c):
@@ -257,6 +286,19 @@ def test_verify_output_pinned(capsys):
         text += captured.out + captured.err
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "32c89911d4538766fbc74504bc3b542cf1cb48b5fb7a62889e5ba2377abbb408"
+
+
+def test_cli_bounds_left_out_are_verify_suites(capsys):
+    # a bound the command line leaves out is verify_suite's default
+    outputs = set()
+    for bounds in ([], ["--max-degree", str(verify.DEFAULT_MAX_DEGREE)],
+                   ["--max-a", str(verify.DEFAULT_MAX_A)],
+                   ["--max-degree", str(verify.DEFAULT_MAX_DEGREE),
+                    "--max-a", str(verify.DEFAULT_MAX_A)]):
+        assert main(["verify", "--scope", "all", *bounds]) == 0
+        captured = capsys.readouterr()
+        outputs.add(captured.out + captured.err)
+    assert len(outputs) == 1
 
 
 def test_cli_verify_exits_1_on_failure(monkeypatch, capsys):
