@@ -31,33 +31,33 @@ def _pfaffian_script(variant: str) -> str:
     from . import classify, pfaffians   # here, so the monomial kind loads neither
     top = classify.maximal_table(classify.AciFamily(3, 5, classify.EVEN))
     expected = top.table if variant == "q" else classify.cancel_ah(top).table
-    alt = pfaffians.alt_matrix((2, 3, 3, 4, 4))
+    w, recipes = pfaffians.witness_ideals_a3_h5(), pfaffians.WITNESS_RECIPE
+    alt, degrees = w.matrix, (w.degrees_q() if variant == "q" else w.degrees_w())
     span = range(1, alt.size + 1)
     rows = ",\n".join("  {" + ", ".join(str(alt.entry(i, j)) for j in span) + "}" for i in span)
-    if variant == "q":
-        gens = "ideal(y2*p1, p2, y1*p5, y1*y2*p125)"
-        gen_comment = "-- generators: y2*p_1, p_2, y1*p_5, y1*y2*p_{1,2,5} (degrees 3, 3, 5, 3)"
-    else:
-        gens = "ideal(p2, p3, y1*p5, y1*p235)"
-        gen_comment = "-- generators: p_2, p_3, y1*p_5, y1*p_{2,3,5} (degrees 3, 3, 5, 3)"
+    # the pfaffians either variant uses, as the script and its comments name them
+    used = sorted({d for recipe in recipes.values() for d, _ in recipe}, key=lambda d: (len(d), d))
+    name = {d: "p" + "".join(map(str, d)) for d in used}
+    shown = {d: f"p_{d[0]}" if len(d) == 1 else "p_{" + ",".join(map(str, d)) + "}" for d in used}
+    pfdel = {d: f"{name[d]} = pfdel {{{', '.join(str(k - 1) for k in d)}}};" for d in used}
     lines = [
         f"-- pfaffian witness ideal, variant {variant.upper()}: almost complete",
         "-- intersection with Hilbert function of CI(3,3,3), generator degrees",
         "-- sorting to (3,3,3,5).",
-        gen_comment,
+        "-- generators: " + ", ".join("*".join(ys + (shown[d],)) for d, ys in recipes[variant])
+        + f" (degrees {', '.join(map(str, degrees))})",
         *_expected_comment(expected),
         f"setRandomSeed {_SEED};",
-        "S = QQ[" + ", ".join(alt.ring.names + ("y1", "y2")) + "];",
+        "S = QQ[" + ", ".join(alt.ring.names) + "];",
         "A = matrix {",
         rows,
         "};",
         "assert(A + transpose A == 0);",
         "-- p_i: pfaffian of A with row and column i deleted (1-based);",
         "-- p_{i,j,k}: same with three rows and columns deleted",
-        "pfdel = rows -> (gens pfaffians(5 - #rows, submatrix'(A, rows, rows)))_(0,0);",
-        "p1 = pfdel {0}; p2 = pfdel {1}; p3 = pfdel {2}; p5 = pfdel {4};",
-        "p125 = pfdel {0, 1, 4}; p235 = pfdel {1, 2, 4};",
-        f"I = {gens};",
+        f"pfdel = rows -> (gens pfaffians({alt.size} - #rows, submatrix'(A, rows, rows)))_(0,0);",
+        *(" ".join(pfdel[d] for d in used if len(d) == n) for n in sorted(set(map(len, used)))),
+        "I = ideal(" + ", ".join("*".join(ys + (name[d],)) for d, ys in recipes[variant]) + ");",
         "-- artinian reduction: specialize the 12 variables generically to 3",
         "T = QQ[t1, t2, t3];",
         "phi = map(T, S, apply(numgens S, i -> random(1, T)));",

@@ -11,6 +11,7 @@ intersections CI(a,a,a) inside CI(a,a,h), whose link is CI(h-a,a,a).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, as_ints
@@ -21,6 +22,7 @@ from .hilbert import (
     as_degrees,
     ci_hilbert,
     hilbert_from_betti,
+    koszul_table,
     socle_degree,
 )
 
@@ -82,16 +84,31 @@ def ci_link_identity(a: int, h: int) -> bool:
 
 @dataclass(frozen=True)
 class MappingCone:
-    """Mapping-cone twist table for the linked ideal, the consecutive
-    equal-twist positions where it may fail to be minimal, and the Hilbert
-    function of the link."""
+    """The mapping cone over the CI Z of the dual of Q's resolution, which
+    resolves the link (Peskine-Szpiro), and the link's Hilbert function.
+    Level j is K_j(Z) plus ``dual[j]``, theta - s for each s at level 4 - j
+    of Q's table; K_3 = (theta) cancels the dual part's level-4 unit."""
 
-    table: BettiTable
+    koszul: BettiTable
+    dual: tuple[tuple[int, ...], ...]
     hg: HilbertFunction
 
     @property
+    def table(self) -> BettiTable:
+        kept = self.koszul.levels[:3] + ((),)      # K_3 cancelled
+        return BettiTable(3, tuple(k + d for k, d in zip(kept, self.dual)))
+
+    @property
     def candidates(self) -> tuple[tuple[int, int], ...]:   # (level, twist), a multiset
-        return self.table.candidates()
+        """The (j, t) where the cone may fail to be minimal, each as often as
+        it can cancel, when Q's table is its minimal (graded Betti) table.
+        Both parts' own differentials are then minimal, and the comparison
+        map runs from the dual part at level j + 1 into K_j(Z), so a pair is
+        a K_j twist t and an equal dual twist at level j + 1, at the lower
+        multiplicity.  A (0, 0) pair flags a unit generator (Q = Z)."""
+        k, d = self.koszul.levels, self.dual
+        return tuple((j, t) for j in range(3)   # & keeps the sorted order of K_j
+                     for t in (Counter(k[j]) & Counter(d[j + 1])).elements())
 
     def to_json(self) -> dict:
         return {
@@ -102,31 +119,19 @@ class MappingCone:
 
 
 def mapping_cone_twists(b_q: BettiTable, z: DegreesLike) -> MappingCone:
-    """Twists of the (possibly non-minimal) resolution of the linked ideal
-    obtained from the mapping cone over the CI of type z, c = 3.
-
-    With theta the sum of z: level 1 is {theta - s : s in level 3 of Q}
-    together with the degrees of z; level 2 is {theta - s : s in level 2 of Q}
-    together with {theta - z_k}; level 3 is {theta - s : s in level 1 of Q}.
-    The dangling theta twist at level 3 and the level-4 unit are already
-    cancelled against each other.  The result is validated against the
-    Hilbert-function link.
-    """
+    """The mapping cone over the CI of type z, c = 3, of the dual of Q's
+    resolution, validated against the Hilbert-function link."""
     datum = LinkDatum.of(z)
     if len(datum.z) != 3:
         raise DomainError("input-error", "mapping-cone recipe is fixed to three variables")
     if b_q.c != 3:
         raise DomainError("input-error", f"need a table with c = 3, got c = {b_q.c}")
-    theta = datum.theta
-    lvl1 = [theta - s for s in b_q.levels[3]] + list(datum.z)
-    lvl2 = [theta - s for s in b_q.levels[2]] + [theta - zi for zi in datum.z]
-    lvl3 = [theta - s for s in b_q.levels[1]]
-    if any(v < 0 for v in lvl1 + lvl2 + lvl3):
+    dual = ((),) + tuple(tuple(sorted(datum.theta - s for s in b_q.levels[4 - j]))
+                         for j in (1, 2, 3))
+    if any(v < 0 for level in dual for v in level):
         raise DomainError("inconsistent-link-data", "negative twist in mapping cone")
-    table = BettiTable(3, ((0,), tuple(lvl1), tuple(lvl2), tuple(lvl3)))
-    h_q = hilbert_from_betti(b_q)
-    h_g = link_hilbert(datum.z, h_q, strict=False)
-    h_cone = hilbert_from_betti(table)
-    if h_cone != h_g:
+    cone = MappingCone(koszul_table(datum.z), dual,
+                       link_hilbert(datum.z, hilbert_from_betti(b_q), strict=False))
+    if hilbert_from_betti(cone.table) != cone.hg:
         raise DomainError("inconsistent-link-data", "inconsistent link data")
-    return MappingCone(table, h_g)
+    return cone

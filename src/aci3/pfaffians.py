@@ -4,8 +4,8 @@ alternating-matrix pfaffians.
 Polynomials live over a fixed ordered variable list.  A ring of n variables
 packs each exponent vector e into one integer key of n + 1 fields of
 ``FIELD_BITS`` = 16 bits: e_1 in the most significant field, e_n in the
-next-to-lowest, and the total degree in the lowest, so the key's big-endian
-bytes are n + 1 unsigned 16-bit integers (``PolyRing.layout``).  A monomial
+next-to-lowest, and the total degree in the lowest, at shift 0;
+``PolyRing.shifts`` holds the shift of each exponent's field.  A monomial
 product is one integer addition, the degree of a key is ``key &
 FIELD_MASK``, and integer order on keys is the descending-lex exponent order
 that ``sorted_terms`` prints (the degree field, a function of the
@@ -60,8 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import or_
-from struct import Struct
+from operator import mul, or_
 
 from .errors import DomainError, as_ints, as_tuple
 from .hilbert import DegreesLike, as_delta, theta_of
@@ -87,8 +86,9 @@ class PolyRing:
 
     def __post_init__(self):
         object.__setattr__(self, "names", as_tuple(self.names, "variable names"))
-        # a key's bytes: the n exponents, then the degree
-        object.__setattr__(self, "layout", Struct(f">{len(self.names) + 1}H"))
+        # the shift of each exponent's field; the degree's field is the lowest
+        shifts = range(FIELD_BITS * len(self.names), 0, -FIELD_BITS)
+        object.__setattr__(self, "shifts", tuple(shifts))
 
     def pack(self, expo) -> int:
         """The key of an exponent vector over this ring."""
@@ -98,11 +98,11 @@ class PolyRing:
                               f"{len(expo)} exponents for {len(self.names)} variables")
         if sum(expo) > MAX_EXPONENT:
             raise _overflow()
-        return int.from_bytes(self.layout.pack(*expo, sum(expo)), "big")
+        return sum(e << shift for e, shift in zip(expo, self.shifts)) | sum(expo)
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a key over this ring."""
-        return self.layout.unpack(key.to_bytes(self.layout.size, "big"))[:-1]
+        return tuple(key >> shift & FIELD_MASK for shift in self.shifts)
 
     def var(self, name: str) -> "SparsePolynomial":
         return self.monomial(name, 1)
@@ -259,9 +259,7 @@ def _alt_ring(size: int, extra_vars: tuple[str, ...]):
     variables."""
     pairs = [(i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
     ring = PolyRing(tuple(f"x{i}{j}" for i, j in pairs) + extra_vars)
-    n = len(ring.names)
-    return tuple(((i, j), i - 1, j - 1, FIELD_BITS * (n - k))
-                 for k, (i, j) in enumerate(pairs)), ring
+    return tuple(((i, j), i - 1, j - 1, shift) for (i, j), shift in zip(pairs, ring.shifts)), ring
 
 
 def alt_matrix(delta: DegreesLike, extra_vars: tuple[str, ...] = ()) -> AlternatingMatrix:
@@ -483,21 +481,26 @@ class WitnessIdeals:
         return tuple(p.degree() for p in self.iw)
 
 
+# The two witness ideals for (a, h) = (3, 5) over k[{x_ij}, y1, y2]: each
+# generator is the pfaffian of Alt(2, 3, 3, 4, 4) with the given rows and
+# columns deleted (1-based) times the given y-variables, so with p_i the
+# sub-pfaffians I_Q = (y2 p_1, p_2, y1 p_5, y1 y2 p_{1,2,5}) and
+# I_W = (p_2, p_3, y1 p_5, y1 p_{2,3,5}).  The CAS scripts read it too.
+WITNESS_RECIPE = {
+    "q": (((1,), ("y2",)), ((2,), ()), ((5,), ("y1",)), ((1, 2, 5), ("y1", "y2"))),
+    "w": (((2,), ()), ((3,), ()), ((5,), ("y1",)), ((2, 3, 5), ("y1",))),
+}
+
+
 def witness_ideals_a3_h5() -> WitnessIdeals:
-    """Generators of the two witness ideals for (a, h) = (3, 5).
-
-    With p_i the sub-pfaffians of Alt(2, 3, 3, 4, 4) and p_{ijk} the pfaffian
-    after deleting rows/columns i, j, k:
-
-        I_Q = (y2 p_1, p_2, y1 p_5, y1 y2 p_{1,2,5})
-        I_W = (p_2, p_3, y1 p_5, y1 p_{2,3,5})
-    """
+    """The two witness ideals for (a, h) = (3, 5), built by ``WITNESS_RECIPE``."""
     m = alt_matrix((2, 3, 3, 4, 4), extra_vars=("y1", "y2"))
     p = sub_pfaffians(m)  # p[i-1] = p_i
-    y1 = m.ring.var("y1")
-    y2 = m.ring.var("y2")
-    p125 = pfaffian(m, (3, 4))
-    p235 = pfaffian(m, (1, 4))
-    iq = (y2 * p[0], p[1], y1 * p[4], y1 * y2 * p125)
-    iw = (p[1], p[2], y1 * p[4], y1 * p235)
+
+    def generator(rows, ys):
+        kept = [k for k in range(1, m.size + 1) if k not in rows]
+        g = p[rows[0] - 1] if len(rows) == 1 else pfaffian(m, kept)
+        return reduce(mul, map(m.ring.var, ys), g)
+
+    iq, iw = (tuple(generator(*gen) for gen in WITNESS_RECIPE[v]) for v in "qw")
     return WitnessIdeals(m, iq, iw)

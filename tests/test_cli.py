@@ -87,6 +87,20 @@ class TestOtherCommands:
         missing = run(["betti", "oracle", "--ideal-file", str(tmp_path / "no.json")])
         assert missing.status == "error" and missing.code == "input-error"
 
+    def test_betti_oracle_refuses_the_unit_ideal(self, capsys):
+        argv = ["betti", "oracle", "--ideal", '{"c":3,"gens":[[0,0,0]]}']
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "code": "input-error", "message": "quotient by the unit ideal is the zero algebra",
+            "status": "error"}
+
+    def test_aci_monomial_past_four_variables(self):
+        # x, y, z, w name up to four variables; past that they are x1..xc
+        got = payload(["aci", "monomial", "--degrees", "2,2,2,2,2", "--h", "3"])
+        assert got["pretty"] == "x1^2, x1x5, x2^2, x3^2, x4^2, x5^3"
+
     def test_betti_oracle_with_expected(self):
         ideal = json.dumps({"c": 3, "gens": [[2, 0, 0], [0, 3, 0], [0, 0, 2], [1, 1, 0]]})
         expected = json.dumps({"c": 3, "levels": [[0], [2, 2, 2, 3], [3, 4, 4, 4, 5], [5, 6]]})
@@ -1065,7 +1079,7 @@ class TestPinnedPayloads:
                     text += stdout_of(["liaison", "cone", "--z", int_list((a, a, h)),
                                        "--table", json.dumps(table.to_json())], capsys)
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "4360b6918420e3da1e1e8d4220d33fc04ae93300d7863d4a917d654d566b7d3a"
+            "9b4fd4106770bcc97d98593d6d9f857289faba6f53ae094cc36c27d86089c9e6"
 
     def test_degree_sequence_payloads(self, capsys):
         # stdout, byte for byte, of `hf recognize` on the CI function of every
@@ -1166,6 +1180,31 @@ class TestExportCas:
         for kind in ("pfaffian-q", "pfaffian-w"):
             assert script_is_balanced(export_cas(kind))
         assert not script_is_balanced("f = (1;\n")
+        assert not script_is_balanced("f = (1];\n")     # closed by the wrong bracket
+        assert not script_is_balanced("f = 1);\n")      # closed before it opened
+        assert not script_is_balanced("f = (1);")        # no final newline
+        assert script_is_balanced("f = (1); -- ({[\n")  # comments are not code
+
+    def test_the_witness_recipe_builds_ideals_and_scripts(self, monkeypatch):
+        # the ideals and both scripts read one recipe: y2 p_3 in place of
+        # y2 p_1 changes all three, and p_1, which neither variant uses any
+        # more, leaves the pfdel lines of both scripts
+        before = pfaffians.witness_ideals_a3_h5()
+        scripts = {kind: export_cas(kind) for kind in ("pfaffian-q", "pfaffian-w")}
+        recipe = pfaffians.WITNESS_RECIPE
+        monkeypatch.setattr(pfaffians, "WITNESS_RECIPE",
+                            {**recipe, "q": (((3,), ("y2",)),) + recipe["q"][1:]})
+        after = pfaffians.witness_ideals_a3_h5()
+        y2 = after.matrix.ring.var("y2")
+        assert after.iq == (y2 * before.iw[1],) + before.iq[1:]
+        assert after.iw == before.iw
+        q, w = export_cas("pfaffian-q"), export_cas("pfaffian-w")
+        assert "I = ideal(y2*p3, p2, y1*p5, y1*y2*p125);\n" in q
+        assert "-- generators: y2*p_3, p_2, y1*p_5, y1*y2*p_{1,2,5} (degrees 4, 3, 5, 3)\n" in q
+        for new, old in ((q, scripts["pfaffian-q"]), (w, scripts["pfaffian-w"])):
+            assert new != old
+            assert "p2 = pfdel {1}; p3 = pfdel {2}; p5 = pfdel {4};\n" in new
+            assert "p1 = pfdel {0}; p2 = pfdel {1};" in old
 
     def test_expected_tables_in_comments(self):
         q = export_cas("pfaffian-q")

@@ -20,12 +20,13 @@ from aci3 import (
     hilbert_from_betti,
     hilbert_function,
     koszul_table,
+    liaison,
     link_hilbert,
     mapping_cone_twists,
     maximal_table,
     socle_degree,
 )
-from aci3.classify import EVEN, AciFamily
+from aci3.classify import EVEN, AciFamily, enumerate_tables, h_window
 
 
 class TestLinkDatum:
@@ -147,3 +148,61 @@ class TestMappingCone:
             mapping_cone_twists(koszul_table((2, 2)), (2, 2, 3))
         with pytest.raises(DomainError):
             mapping_cone_twists(koszul_table((2, 2, 2)), (2, 2))
+
+    def test_only_cross_pairs_are_candidates(self):
+        # the Buchsbaum-Eisenbud table of (2, 3, 3, 4, 4) over Z = (3, 3, 5),
+        # theta = 11: both [2, 7] pairs join two dual summands (11 - 4 at
+        # levels 2 and 3), whose differential is minimal, so only [1, 5] and
+        # the two [2, 8] join K(Z) to the dual part one level up
+        q = BettiTable(3, ((0,), (2, 3, 3, 4, 4), (4, 4, 5, 5, 6), (8,)))
+        cone = mapping_cone_twists(q, (3, 3, 5))
+        assert cone.table.candidates() == ((1, 5), (2, 7), (2, 7), (2, 8), (2, 8))
+        assert cone.candidates == ((1, 5), (2, 8), (2, 8))
+
+    def test_inconsistent_link_function_rejected(self, monkeypatch):
+        monkeypatch.setattr(liaison, "link_hilbert", lambda z, h_q, strict: HilbertFunction((1,)))
+        with pytest.raises(DomainError, match="^inconsistent link data$") as err:
+            mapping_cone_twists(koszul_table((2, 2, 2)), (2, 2, 3))
+        assert err.value.code == "inconsistent-link-data"
+
+
+@st.composite
+def cones(draw):
+    """A node of enumerate_tables with a <= 6, a minimal table, and its
+    mapping cone over Z = (a, a, h)."""
+    a = draw(st.integers(2, 6))
+    h = draw(st.sampled_from(h_window(a).full))
+    node = draw(st.sampled_from(enumerate_tables(a, h).nodes))
+    return (a, a, h), mapping_cone_twists(node.table, (a, a, h))
+
+
+class TestConeParts:
+    @given(cones())
+    def test_the_koszul_part_is_koszul_table(self, drawn):
+        z, cone = drawn
+        assert cone.koszul == koszul_table(z)
+
+    @given(cones())
+    def test_each_candidate_joins_k_to_the_dual_part_one_level_up(self, drawn):
+        _, cone = drawn
+        hf = hilbert_from_betti(cone.table)
+        for j, t in set(cone.candidates):
+            assert cone.candidates.count((j, t)) == min(
+                cone.koszul.levels[j].count(t), cone.dual[j + 1].count(t))
+            assert hilbert_from_betti(cone.table.cancel(j, (t,))) == hf
+
+
+class TestLinkIdentityAnswers:
+    def test_not_linked_is_false(self, monkeypatch):
+        def not_linked(z, h_q):
+            raise DomainError("not-linked", "stub")
+        monkeypatch.setattr(liaison, "link_hilbert", not_linked)
+        assert ci_link_identity(3, 5) is False
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def too_large(z, h_q):
+            raise DomainError("too-large", "stub")
+        monkeypatch.setattr(liaison, "link_hilbert", too_large)
+        with pytest.raises(DomainError) as err:
+            ci_link_identity(3, 5)
+        assert err.value.code == "too-large"

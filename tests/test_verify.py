@@ -5,6 +5,8 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from functools import partial
+from itertools import count
 
 import pytest
 
@@ -12,31 +14,37 @@ from aci3 import DomainError, cas, classify, koszul, liaison, monomials, pfaffia
 from aci3.cli import main
 from aci3.hilbert import BettiTable, HilbertFunction
 
+# (check, name, module, attribute, wrong answer, detail): each check's first
+# failure, whose detail line starts with the given text
 BROKEN = [
     (verify.check_aci_hilbert, "monomial/aci-hilbert-equals-ci",
-     monomials, "hilbert_function", lambda ideal: HilbertFunction((1,))),
+     monomials, "hilbert_function", lambda ideal: HilbertFunction((1,)),
+     "mismatch at degrees (2, 2, 2), h = 3"),
     (verify.check_colon_link, "monomial/colon-link-type",
-     monomials, "ci_type", lambda ideal: None),
+     monomials, "ci_type", lambda ideal: None, "type None != (1, 2, 2) at (2, 2, 2), h = 3"),
     (verify.check_rigid_resolution, "betti/rigid-resolution-oracle",
-     koszul, "verify_resolution", lambda ideal, expected: (False, ["broken"])),
+     koszul, "verify_resolution", lambda ideal, expected: (False, ["broken"]),
+     "a = 2: ['broken']"),
     (verify.check_classification_coherence, "classification/coherence",
-     classify, "d_star", lambda a, h, t: 0),
+     classify, "d_star", lambda a, h, t: 0, "d* != 2 at (a, h) = (2, 3)"),
     (verify.check_t_max, "classification/t-max",
-     classify, "t_max", lambda a: 0),
+     classify, "t_max", lambda a: 0, "a = 2: max t at h = 2a is 3, expected 0"),
     (verify.check_ah_cancellation, "classification/ah-cancellation",
-     classify, "cancel_ah", lambda node: node),
+     classify, "cancel_ah", lambda node: node, "t = 2 cancellation should fail at (a, h) = (2, 3)"),
     (verify.check_ci_link_identity, "liaison/ci-link-identity",
-     liaison, "ci_link_identity", lambda a, h: False),
+     liaison, "ci_link_identity", lambda a, h: False, "fails at (a, h) = (2, 3)"),
     (verify.check_gaeta, "gaeta/delta-builders",
-     classify, "gaeta_check", lambda delta: classify.GaetaResult(False, "broken")),
+     classify, "gaeta_check", lambda delta: classify.GaetaResult(False, "broken"),
+     "delta_low(2, 3) fails"),
     (verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
-     pfaffians, "sub_pfaffians", lambda m: [_constant(m, 1)] * m.size),
+     pfaffians, "sub_pfaffians", lambda m: [_constant(m, 1)] * m.size,
+     "p_i differ from pfaffian_last_row for delta = (1, 1, 1)"),
     (verify.check_pf_squared, "pfaffian/pf-squared-equals-det",
-     pfaffians, "pf_squared_equals_det", lambda mat: False),
+     pfaffians, "pf_squared_equals_det", lambda mat: False, "failure at size 2: "),
     (verify.check_witness_degrees, "pfaffian/witness-ideals",
-     pfaffians, "sub_pfaffians", lambda m: [_constant(m, 0)] * m.size),
+     pfaffians, "sub_pfaffians", lambda m: [_constant(m, 0)] * m.size, "zero generator"),
     (verify.check_cas_scripts, "cas/scripts",
-     cas, "script_is_balanced", lambda text: False),
+     cas, "script_is_balanced", lambda text: False, "pfaffian-q: unbalanced script"),
 ]
 # further wrong answers that a check must also see, each under its own id
 ALSO_BROKEN = {
@@ -46,62 +54,190 @@ ALSO_BROKEN = {
         verify.check_aci_hilbert, "monomial/aci-hilbert-equals-ci",
         monomials, "aci_construction",
         lambda degs, h: monomials.MonomialIdeal(
-            3, ((degs[0], 0, 0), (0, degs[1], 0), (0, 0, h), (0, 0, degs[2])))),
+            3, ((degs[0], 0, 0), (0, degs[1], 0), (0, 0, h), (0, 0, degs[2]))),
+        "3 minimal generators at degrees (2, 2, 2), h = 3"),
+    "monomial/colon-link-type-hilbert": (
+        verify.check_colon_link, "monomial/colon-link-type",
+        liaison, "link_hilbert", lambda z, h_q: HilbertFunction((1,)),
+        "Hilbert mismatch at (2, 2, 2), h = 3"),
     # about half of the sub-pfaffians it expands are zero, so it has to count terms
     "pfaffian/sub-pfaffian-degrees-zeros": (
         verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
-        pfaffians, "sub_pfaffians", lambda m: [_constant(m, 0)] * m.size),
+        pfaffians, "sub_pfaffians", lambda m: [_constant(m, 0)] * m.size,
+        "p_i differ from pfaffian_last_row for delta = (1, 1, 1)"),
     "pfaffian/sub-pfaffian-degrees-doubled": (
         verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
         pfaffians, "sub_pfaffians",
-        lambda m, original=pfaffians.sub_pfaffians: [_constant(m, 2) * p for p in original(m)]),
+        lambda m, original=pfaffians.sub_pfaffians: [_constant(m, 2) * p for p in original(m)],
+        "p_i differ from pfaffian_last_row for delta = (1, 1, 1)"),
     # a relative sign: term counts, +-1 coefficients, Pf^2 = det and the
     # witness degrees cannot see it, the cross-check pfaffian_last_row does
     "pfaffian/sub-pfaffian-degrees-p2-negated": (
         verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
         pfaffians, "sub_pfaffians",
         lambda m, original=pfaffians.sub_pfaffians:
-            [_constant(m, -1) * p if i == 1 else p for i, p in enumerate(original(m))]),
+            [_constant(m, -1) * p if i == 1 else p for i, p in enumerate(original(m))],
+        "p_i differ from pfaffian_last_row for delta = (1, 1, 1)"),
     "pfaffian/sub-pfaffian-degrees-sign-flip": (
         verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
         pfaffians, "sub_pfaffians",
-        lambda m, original=pfaffians.sub_pfaffians: [_constant(m, -1) * p for p in original(m)]),
+        lambda m, original=pfaffians.sub_pfaffians: [_constant(m, -1) * p for p in original(m)],
+        "p_i differ from pfaffian_last_row for delta = (1, 1, 1)"),
+    # the matrix of 2 delta has delta's support graph, so the sub-pfaffians
+    # equal the cross-check's, but twice the degrees
+    "pfaffian/sub-pfaffian-degrees-doubled-delta": (
+        verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
+        pfaffians, "alt_matrix",
+        lambda delta, original=pfaffians.alt_matrix: original(tuple(2 * d for d in delta)),
+        "deg p_1 != 1 for delta = (1, 1, 1)"),
+    # entries 2 x_ij: the cross-check agrees, but a coefficient is not +-1
+    "pfaffian/sub-pfaffian-degrees-entries-doubled": (
+        verify.check_pfaffian_degrees, "pfaffian/sub-pfaffian-degrees",
+        pfaffians, "alt_matrix",
+        lambda delta, original=pfaffians.alt_matrix: _doubled_entries(original(delta)),
+        "p_1 is not 1 terms +-1 for delta = (1, 1, 1)"),
     # the expected tables are classify's maximal tables
     "betti/rigid-resolution-oracle-twist-dropped": (
         verify.check_rigid_resolution, "betti/rigid-resolution-oracle",
-        classify, "maximal_table", lambda fam: _drop_a_twist(fam, 2)),
+        classify, "maximal_table", lambda fam: _drop_a_twist(fam, 2),
+        "a = 2: [{'level': 2, "),
     "pfaffian/witness-ideals-generator-dropped": (
         verify.check_witness_degrees, "pfaffian/witness-ideals",
-        classify, "maximal_table", lambda fam: _drop_a_twist(fam, 1)),
+        classify, "maximal_table", lambda fam: _drop_a_twist(fam, 1),
+        "sorted degrees differ from level 1 (3, 3, 5)"),
+    # y2 p_3 in place of y2 p_1: a generator of degree 4
+    "pfaffian/witness-ideals-recipe-row-3": (
+        verify.check_witness_degrees, "pfaffian/witness-ideals",
+        pfaffians, "WITNESS_RECIPE",
+        {**pfaffians.WITNESS_RECIPE, "q": (((3,), ("y2",)),) + pfaffians.WITNESS_RECIPE["q"][1:]},
+        "degrees (4, 3, 5, 3), (3, 3, 5, 3)"),
     # a table of no artinian algebra: hilbert_from_betti refuses it
     "classification/coherence-3a-dropped": (
         verify.check_classification_coherence, "classification/coherence",
-        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _drop_3a)),
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _drop_3a),
+        "Hilbert mismatch at (a, h) = (2, 3)"),
+    # a Hilbert function, but not H_CI(a, a, a)
+    "classification/coherence-hilbert-differs": (
+        verify.check_classification_coherence, "classification/coherence",
+        verify, "ci_hilbert", lambda degrees: HilbertFunction((1, 3)),
+        "Hilbert mismatch at (a, h) = (2, 3)"),
     # the same Hilbert function, but no a+h pair for the self-dual part to drop
     "classification/coherence-ah-shifted": (
         verify.check_classification_coherence, "classification/coherence",
-        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _shift_ah)),
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _shift_ah),
+        "a+h multiplicity (0, 0) != (1, 1) at (a, h) = (2, 3)"),
+    # each edit below keeps the Hilbert function: it moves, adds or swaps a
+    # pair of equal twists at consecutive levels
+    "classification/coherence-ah-generator": (
+        verify.check_classification_coherence, "classification/coherence",
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _ah_generator),
+        "unexpected a+h syzygy at (a, h) = (2, 4)"),
+    "classification/coherence-even-above-2a": (
+        verify.check_classification_coherence, "classification/coherence",
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _ah_pair_above_2a),
+        "even t with h >= 2a at (a, h) = (3, 7)"),
+    "classification/coherence-second-3a": (
+        verify.check_classification_coherence, "classification/coherence",
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _second_3a),
+        "forced syzygies missing at (a, h) = (3, 5)"),
+    "classification/coherence-not-self-dual": (
+        verify.check_classification_coherence, "classification/coherence",
+        classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _shift_self_dual),
+        "self-duality fails at (a, h) = (3, 6)"),
+    # t_max is attained at h = 2a, but two more pairs raise t at the other h
+    "classification/t-max-global": (
+        verify.check_t_max, "classification/t-max",
+        classify, "enumerate_tables",
+        lambda a, h, original=classify.enumerate_tables:
+            original(a, h) if h == 2 * a else _edit_nodes(a, h, _two_more_pairs),
+        "a = 2: global max t 4 != 3"),
+    "classification/ah-cancellation-keeps-t": (
+        verify.check_ah_cancellation, "classification/ah-cancellation",
+        classify, "cancel_ah",
+        lambda node, original=classify.cancel_ah: node if node.t >= 4 else original(node),
+        "bad cancellation at (a, h) = (3, 5), t = 4"),
+    "gaeta/delta-builders-high": (
+        verify.check_gaeta, "gaeta/delta-builders",
+        classify, "delta_high", lambda a, h: (2, 2, 5, 5, 5, 5, 6), "delta_high(2, 4) fails"),
+    # at a = 2 no builder gives (2, 3, 3, 4, 4), so the known good sequence is
+    # the first one refused
+    "gaeta/delta-builders-good-refused": (
+        partial(verify.check_gaeta, 2), "gaeta/delta-builders",
+        classify, "gaeta_check",
+        lambda delta, original=classify.gaeta_check:
+            classify.GaetaResult(False, "broken") if delta == (2, 3, 3, 4, 4) else original(delta),
+        "(2,3,3,4,4) should pass"),
+    "gaeta/delta-builders-violator-accepted": (
+        verify.check_gaeta, "gaeta/delta-builders",
+        classify, "gaeta_check", lambda delta: classify.GaetaResult(True, ""),
+        "(2,2,5,5,5,5,6) should fail"),
+    "cas/scripts-not-byte-stable": (
+        verify.check_cas_scripts, "cas/scripts",
+        cas, "export_cas", lambda kind, ideal, calls=count(): f"print betti res {next(calls)};\n",
+        "pfaffian-q: not byte-stable"),
+    "cas/scripts-no-betti": (
+        verify.check_cas_scripts, "cas/scripts",
+        cas, "export_cas", lambda kind, ideal: "print res I;\n",
+        "pfaffian-q: missing betti computation"),
 }
 
 
-def _edit_nodes(a, h, edit, original=classify.enumerate_tables):
-    # the (a, h) poset with each node's levels 2 and 3 edited
+def _edit_nodes(a, h, moves, original=classify.enumerate_tables):
+    # the (a, h) poset with each node's table edited by moves(a, h, node): a
+    # move (level, old, new) turns one twist old at that level into new,
+    # adds new when old is None and drops old when new is None
     poset = original(a, h)
-    nodes = tuple(replace(node, table=BettiTable(3, node.table.levels[:2] + edit(a, h, node)))
-                  for node in poset.nodes)
-    return replace(poset, nodes=nodes)
+    nodes = []
+    for node in poset.nodes:
+        levels = [list(level) for level in node.table.levels]
+        for i, old, new in moves(a, h, node):
+            if old is not None:
+                levels[i].remove(old)
+            if new is not None:
+                levels[i].append(new)
+        nodes.append(replace(node, table=BettiTable(3, tuple(map(tuple, levels)))))
+    return replace(poset, nodes=tuple(nodes))
 
 
 def _drop_3a(a, h, node):
-    level3 = list(node.table.levels[3])
-    del level3[level3.index(3 * a)]
-    return node.table.levels[2], tuple(level3)
+    return [(3, 3 * a, None)]
 
 
 def _shift_ah(a, h, node):
     # an even node's a+h pair moves to a+h+1 at levels 2 and 3
-    shift = {a + h: a + h + 1} if node.t % 2 == 0 else {}
-    return tuple(tuple(shift.get(j, j) for j in node.table.levels[k]) for k in (2, 3))
+    return [(2, a + h, a + h + 1), (3, a + h, a + h + 1)] if node.t % 2 == 0 else []
+
+
+def _ah_generator(a, h, node):
+    # an odd node gains a generator of degree a+h and a syzygy that cancels it
+    return [(1, None, a + h), (2, None, a + h)] if node.t % 2 else []
+
+
+def _ah_pair_above_2a(a, h, node):
+    # above h = 2a an a+h pair at levels 2 and 3 makes t even
+    return [(2, None, a + h), (3, None, a + h)] if h > 2 * a else []
+
+
+def _self_dual_pairs(a, h, node):
+    # the twists of the self-dual part of level 3 that level 2 shares
+    levels = node.table.levels
+    return [j for j in levels[3] if j in levels[2] and j not in (3 * a, a + h)]
+
+
+def _second_3a(a, h, node):
+    # below h = 2a a self-dual pair becomes a second 3a pair
+    pairs = _self_dual_pairs(a, h, node)
+    return [(2, pairs[0], 3 * a), (3, pairs[0], 3 * a)] if h < 2 * a and pairs else []
+
+
+def _shift_self_dual(a, h, node):
+    # one self-dual pair moves up by one, where that lands on neither 3a nor a+h
+    pairs = [j for j in _self_dual_pairs(a, h, node) if j + 1 not in (3 * a, a + h)]
+    return [(2, pairs[0], pairs[0] + 1), (3, pairs[0], pairs[0] + 1)] if pairs else []
+
+
+def _two_more_pairs(a, h, node):
+    return [(2, None, 3 * a), (3, None, 3 * a)] * 2
 
 
 def _drop_a_twist(fam, level, original=classify.maximal_table):
@@ -112,19 +248,24 @@ def _drop_a_twist(fam, level, original=classify.maximal_table):
     return classify.AciTable(top.a, top.h, BettiTable(3, tuple(levels)))
 
 
+def _doubled_entries(m):
+    return replace(m, upper={ij: (key, 2 * c) for ij, (key, c) in m.upper.items()})
+
+
 def _constant(m, c):
     return pfaffians.SparsePolynomial(m.ring, {(0,) * len(m.ring.names): c})
 
 
-@pytest.mark.parametrize("check, name, module, attr, wrong",
+@pytest.mark.parametrize("check, name, module, attr, wrong, detail",
                          BROKEN + list(ALSO_BROKEN.values()),
                          ids=[case[1] for case in BROKEN] + list(ALSO_BROKEN))
-def test_check_reports_failure(monkeypatch, check, name, module, attr, wrong):
+def test_check_reports_failure(monkeypatch, check, name, module, attr, wrong, detail):
     assert check().ok
     monkeypatch.setattr(module, attr, wrong)
     result = check()
     assert result.ok is False
     assert result.name == name
+    assert result.detail.startswith(detail), result.detail
 
 
 def test_every_check_has_a_failure_case():
