@@ -30,7 +30,7 @@ _EXPORTS = {
                   "rigid_witness", "standard_monomials"),
     "pfaffians": ("AlternatingMatrix", "PolyRing", "SparsePolynomial", "WitnessIdeals",
                   "alt_matrix", "pf_squared_equals_det", "pfaffian", "pfaffian_int",
-                  "pfaffian_last_row", "sub_pfaffians", "witness_ideals_a3_h5"),
+                  "pfaffian_last_row", "sub_pfaffians", "witness_ideals_a3_h5", "witness_tables"),
     "verify": ("CheckResult", "Report", "verify_suite"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,11 +28,9 @@ def _expected_comment(table: BettiTable) -> list[str]:
 
 
 def _pfaffian_script(variant: str) -> str:
-    from . import classify, pfaffians   # here, so the monomial kind loads neither
-    top = classify.maximal_table(classify.AciFamily(3, 5, classify.EVEN))
-    expected = top.table if variant == "q" else classify.cancel_ah(top).table
+    from . import pfaffians     # here, so the monomial kind does not load it
     w, recipes = pfaffians.witness_ideals_a3_h5(), pfaffians.WITNESS_RECIPE
-    alt, degrees = w.matrix, (w.degrees_q() if variant == "q" else w.degrees_w())
+    alt = w.matrix
     span = range(1, alt.size + 1)
     rows = ",\n".join("  {" + ", ".join(str(alt.entry(i, j)) for j in span) + "}" for i in span)
     # the pfaffians either variant uses, as the script and its comments name them
@@ -45,8 +43,8 @@ def _pfaffian_script(variant: str) -> str:
         "-- intersection with Hilbert function of CI(3,3,3), generator degrees",
         "-- sorting to (3,3,3,5).",
         "-- generators: " + ", ".join("*".join(ys + (shown[d],)) for d, ys in recipes[variant])
-        + f" (degrees {', '.join(map(str, degrees))})",
-        *_expected_comment(expected),
+        + f" (degrees {', '.join(map(str, w.degrees(variant)))})",
+        *_expected_comment(pfaffians.witness_tables()[variant]),
         f"setRandomSeed {_SEED};",
         "S = QQ[" + ", ".join(alt.ring.names) + "];",
         "A = matrix {",

@@ -384,16 +384,12 @@ def _cmd_pfaffian_sub(args):
 def _cmd_pfaffian_example(args):
     from . import pfaffians
     w = pfaffians.witness_ideals_a3_h5()
-    payload = {
-        "variables": list(w.matrix.ring.names),
-        "iq": [p.to_json() for p in w.iq],
-        "iw": [p.to_json() for p in w.iw],
-        "iq_pretty": [str(p) for p in w.iq],
-        "iw_pretty": [str(p) for p in w.iw],
-        "degrees_q": list(w.degrees_q()),
-        "degrees_w": list(w.degrees_w()),
-        "sorted_degrees": sorted(w.degrees_q()),
-    }
+    payload = {"variables": list(w.matrix.ring.names)}
+    for v, ideal in w.ideals.items():
+        payload[f"i{v}"] = [p.to_json() for p in ideal]
+        payload[f"i{v}_pretty"] = [str(p) for p in ideal]
+        payload[f"degrees_{v}"] = list(w.degrees(v))
+        payload["sorted_degrees"] = sorted(w.degrees(v))    # one for every variant
     return payload, ("pfaffian-witness-ideals",)
 
 

@@ -463,29 +463,25 @@ def pf_squared_equals_det(mat) -> bool:
 
 @dataclass(frozen=True)
 class WitnessIdeals:
-    """The two pfaffian ideals over k[{x_ij}, y1, y2] with generator degrees
-    sorting to (3, 3, 3, 5), built from Alt(2, 3, 3, 4, 4).
-
-    The first realizes the maximal table of the (a, h) = (3, 5) even-parity
-    family; the second realizes the table with the a+h pair cancelled.
-    """
+    """The pfaffian witness ideals over k[{x_ij}, y1, y2], keyed by variant
+    like ``WITNESS_RECIPE``, each with generator degrees sorting to
+    (3, 3, 3, 5), built from Alt(2, 3, 3, 4, 4); ``witness_tables`` gives
+    the table each variant realizes."""
 
     matrix: AlternatingMatrix
-    iq: tuple[SparsePolynomial, ...]
-    iw: tuple[SparsePolynomial, ...]
+    ideals: dict    # variant -> generators
 
-    def degrees_q(self) -> tuple[int, ...]:
-        return tuple(p.degree() for p in self.iq)
-
-    def degrees_w(self) -> tuple[int, ...]:
-        return tuple(p.degree() for p in self.iw)
+    def degrees(self, variant: str) -> tuple[int, ...]:
+        return tuple(p.degree() for p in self.ideals[variant])
 
 
-# The two witness ideals for (a, h) = (3, 5) over k[{x_ij}, y1, y2]: each
-# generator is the pfaffian of Alt(2, 3, 3, 4, 4) with the given rows and
+# The witness family (a, h), and its two ideals over k[{x_ij}, y1, y2]: each
+# generator is the pfaffian of Alt(delta_low(a, h)) with the given rows and
 # columns deleted (1-based) times the given y-variables, so with p_i the
-# sub-pfaffians I_Q = (y2 p_1, p_2, y1 p_5, y1 y2 p_{1,2,5}) and
-# I_W = (p_2, p_3, y1 p_5, y1 p_{2,3,5}).  The CAS scripts read it too.
+# sub-pfaffians I_Q = (y2 p_1, p_2, y1 p_5, y1 y2 p_{1,2,5}) realizes the
+# maximal even-family table and I_W = (p_2, p_3, y1 p_5, y1 p_{2,3,5}) that
+# table with its a+h pair cancelled.  The CAS scripts read it too.
+WITNESS_AH = (3, 5)
 WITNESS_RECIPE = {
     "q": (((1,), ("y2",)), ((2,), ()), ((5,), ("y1",)), ((1, 2, 5), ("y1", "y2"))),
     "w": (((2,), ()), ((3,), ()), ((5,), ("y1",)), ((2, 3, 5), ("y1",))),
@@ -493,7 +489,7 @@ WITNESS_RECIPE = {
 
 
 def witness_ideals_a3_h5() -> WitnessIdeals:
-    """The two witness ideals for (a, h) = (3, 5), built by ``WITNESS_RECIPE``."""
+    """The witness ideals for (a, h) = (3, 5), built by ``WITNESS_RECIPE``."""
     m = alt_matrix((2, 3, 3, 4, 4), extra_vars=("y1", "y2"))
     p = sub_pfaffians(m)  # p[i-1] = p_i
 
@@ -502,5 +498,13 @@ def witness_ideals_a3_h5() -> WitnessIdeals:
         g = p[rows[0] - 1] if len(rows) == 1 else pfaffian(m, kept)
         return reduce(mul, map(m.ring.var, ys), g)
 
-    iq, iw = (tuple(generator(*gen) for gen in WITNESS_RECIPE[v]) for v in "qw")
-    return WitnessIdeals(m, iq, iw)
+    return WitnessIdeals(m, {v: tuple(generator(*gen) for gen in recipe)
+                             for v, recipe in WITNESS_RECIPE.items()})
+
+
+def witness_tables() -> dict:
+    """The Betti table each witness ideal realizes, by variant: the maximal
+    even ``WITNESS_AH`` table, and that table with its a+h pair cancelled."""
+    from . import classify  # here, so the pfaffian routes do not load it
+    top = classify.maximal_table(classify.AciFamily(*WITNESS_AH, classify.EVEN))
+    return {"q": top.table, "w": classify.cancel_ah(top).table}

@@ -1196,8 +1196,8 @@ class TestExportCas:
                             {**recipe, "q": (((3,), ("y2",)),) + recipe["q"][1:]})
         after = pfaffians.witness_ideals_a3_h5()
         y2 = after.matrix.ring.var("y2")
-        assert after.iq == (y2 * before.iw[1],) + before.iq[1:]
-        assert after.iw == before.iw
+        q_before, w_before = before.ideals["q"], before.ideals["w"]
+        assert after.ideals == {"q": (y2 * w_before[1],) + q_before[1:], "w": w_before}
         q, w = export_cas("pfaffian-q"), export_cas("pfaffian-w")
         assert "I = ideal(y2*p3, p2, y1*p5, y1*y2*p125);\n" in q
         assert "-- generators: y2*p_3, p_2, y1*p_5, y1*y2*p_{1,2,5} (degrees 4, 3, 5, 3)\n" in q
@@ -1205,6 +1205,21 @@ class TestExportCas:
             assert new != old
             assert "p2 = pfdel {1}; p3 = pfdel {2}; p5 = pfdel {4};\n" in new
             assert "p1 = pfdel {0}; p2 = pfdel {1};" in old
+
+    def test_the_witness_tables_are_the_expected_comments(self, monkeypatch):
+        # pfaffian-q's comment and the witness check read one table per
+        # variant: I_Q given the (3, 4) maximal table changes the one and
+        # fails the other, and pfaffian-w keeps its script
+        scripts = {kind: export_cas(kind) for kind in ("pfaffian-q", "pfaffian-w")}
+        tables = pfaffians.witness_tables
+        other = maximal_table(AciFamily(3, 4, EVEN)).table
+        monkeypatch.setattr(pfaffians, "witness_tables", lambda: {**tables(), "q": other})
+        q = export_cas("pfaffian-q")
+        assert q != scripts["pfaffian-q"] and "--   1: {3, 3, 3, 4}\n" in q
+        assert export_cas("pfaffian-w") == scripts["pfaffian-w"]
+        result = verify.check_witness_degrees()
+        assert not result.ok
+        assert result.detail == "sorted degrees differ from level 1 (3, 3, 3, 4)"
 
     def test_expected_tables_in_comments(self):
         q = export_cas("pfaffian-q")

@@ -90,6 +90,10 @@ class TestHilbertFunction:
         h = HilbertFunction((1, 2, 1))
         assert h.at(-1) == 0 and h.at(5) == 0 and h.at(1) == 2
 
+    def test_str(self):
+        assert str(HilbertFunction((1, 3, 3, 1))) == "(1, 3, 3, 1)"
+        assert str(HilbertFunction(())) == "()"
+
 
 class TestCiHilbert:
     def test_binomial_case(self):

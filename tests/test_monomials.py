@@ -342,6 +342,7 @@ class TestHelpers:
         assert format_monomial((0, 0, 0)) == "1"
         ideal = aci_construction((2, 2, 2), 3)
         assert ideal.pretty() == "x^2, xz, y^2, z^3"
+        assert MonomialIdeal(3, ()).pretty() == "(0)"
 
     def test_divides(self):
         assert divides((1, 0), (2, 1))

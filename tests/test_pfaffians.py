@@ -66,6 +66,22 @@ class TestSparsePolynomial:
         assert str(self.poly({(2, 0): 1, (0, 1): -2})) == "x^2 - 2*y"
         assert str(self.poly({})) == "0"
         assert str(self.poly({(1, 1): -1})) == "-x*y"
+        assert str(self.poly({(1, 0): 1, (0, 0): -3})) == "x - 3"
+        assert str(self.poly({(0, 0): -1})) == "-1"
+        assert repr(self.poly({(0, 1): 2, (0, 0): 1})) == "SparsePolynomial(2*y + 1)"
+
+    def test_equality_and_hash(self):
+        x_y = self.poly({(1, 1): 1})
+        assert x_y == self.x * self.y and x_y != self.x
+        # a value that is not a polynomial is never equal to one
+        assert x_y != {(1, 1): 1} and x_y != 1
+        assert hash(x_y) == hash(self.y * self.x)
+        assert {x_y, self.x * self.y, self.x} == {x_y, self.x}
+
+    def test_unknown_variable_refused(self):
+        with pytest.raises(DomainError, match="unknown variable 'z'") as exc:
+            self.ring.monomial("z", 2)
+        assert exc.value.code == "input-error"
 
     def test_json(self):
         p = self.poly({(1, 1): 1, (0, 1): -3})
@@ -191,6 +207,12 @@ class TestAltMatrix:
         assert m.entry(4, 5).is_zero
         assert str(m.entry(2, 1)) == "-x12^3"
         assert m.entry(3, 3).is_zero
+
+    @pytest.mark.parametrize("i, j", [(1, 6), (6, 1), (0, 2), (2, -1)])
+    def test_entry_out_of_range_refused(self, i, j):
+        with pytest.raises(DomainError) as exc:
+            alt_matrix((2, 3, 3, 4, 4)).entry(i, j)
+        assert exc.value.code == "input-error"
 
     @pytest.mark.parametrize("delta", [(2, 3, 3, 4, 4), (2, 2, 2, 3, 3), (1, 2, 2, 3, 3, 3, 4)])
     def test_lower_entries_negate_upper(self, delta):
@@ -531,21 +553,22 @@ class TestWitnessIdeals:
         self.w = witness_ideals_a3_h5()
 
     def test_generator_degrees(self):
-        assert self.w.degrees_q() == (3, 3, 5, 3)
-        assert self.w.degrees_w() == (3, 3, 5, 3)
-        assert tuple(sorted(self.w.degrees_q())) == (3, 3, 3, 5)
-        assert tuple(sorted(self.w.degrees_w())) == (3, 3, 3, 5)
+        variants = set(pfaffians.WITNESS_RECIPE)
+        assert set(self.w.ideals) == variants == set(pfaffians.witness_tables())
+        for v in self.w.ideals:
+            assert self.w.degrees(v) == (3, 3, 5, 3)
+            assert tuple(sorted(self.w.degrees(v))) == (3, 3, 3, 5)
 
     def test_generators_nonzero_and_homogeneous(self):
-        for p in self.w.iq + self.w.iw:
+        for p in self.w.ideals["q"] + self.w.ideals["w"]:
             assert not p.is_zero
             assert p.is_homogeneous()
 
     def test_first_generator_structure(self):
         # y2 * p_1 where p_1 = -x24*x35 + x25*x34
-        assert str(self.w.iq[0]) == "-x24*x35*y2 + x25*x34*y2"
+        assert str(self.w.ideals["q"][0]) == "-x24*x35*y2 + x25*x34*y2"
 
     def test_deleted_pfaffian_degrees(self):
         # deg p_{1,2,5} = d1 + d2 + d5 - theta = 1; two extra linear variables
-        assert self.w.iq[3].degree() == 3
-        assert self.w.iw[3].degree() == 3
+        assert self.w.ideals["q"][3].degree() == 3
+        assert self.w.ideals["w"][3].degree() == 3

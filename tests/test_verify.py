@@ -5,7 +5,6 @@ import hashlib
 import json
 import re
 from dataclasses import replace
-from functools import partial
 from itertools import count
 
 import pytest
@@ -111,11 +110,17 @@ ALSO_BROKEN = {
         pfaffians, "WITNESS_RECIPE",
         {**pfaffians.WITNESS_RECIPE, "q": (((3,), ("y2",)),) + pfaffians.WITNESS_RECIPE["q"][1:]},
         "degrees (4, 3, 5, 3), (3, 3, 5, 3)"),
+    # the witness matrix is Alt(delta_low(3, 5)): a builder giving another
+    # sequence that passes the Gaeta conditions fails this check alone
+    "pfaffian/witness-ideals-delta-untied": (
+        verify.check_witness_degrees, "pfaffian/witness-ideals",
+        classify, "delta_low", lambda a, h: classify.delta_high(a, 2 * a),
+        "witness delta (2, 3, 3, 4, 4) != delta_low(3, 5)"),
     # a table of no artinian algebra: hilbert_from_betti refuses it
     "classification/coherence-3a-dropped": (
         verify.check_classification_coherence, "classification/coherence",
         classify, "enumerate_tables", lambda a, h: _edit_nodes(a, h, _drop_3a),
-        "Hilbert mismatch at (a, h) = (2, 3)"),
+        "table of no artinian algebra (non-artinian) at (a, h) = (2, 3)"),
     # a Hilbert function, but not H_CI(a, a, a)
     "classification/coherence-hilbert-differs": (
         verify.check_classification_coherence, "classification/coherence",
@@ -159,14 +164,6 @@ ALSO_BROKEN = {
     "gaeta/delta-builders-high": (
         verify.check_gaeta, "gaeta/delta-builders",
         classify, "delta_high", lambda a, h: (2, 2, 5, 5, 5, 5, 6), "delta_high(2, 4) fails"),
-    # at a = 2 no builder gives (2, 3, 3, 4, 4), so the known good sequence is
-    # the first one refused
-    "gaeta/delta-builders-good-refused": (
-        partial(verify.check_gaeta, 2), "gaeta/delta-builders",
-        classify, "gaeta_check",
-        lambda delta, original=classify.gaeta_check:
-            classify.GaetaResult(False, "broken") if delta == (2, 3, 3, 4, 4) else original(delta),
-        "(2,3,3,4,4) should pass"),
     "gaeta/delta-builders-violator-accepted": (
         verify.check_gaeta, "gaeta/delta-builders",
         classify, "gaeta_check", lambda delta: classify.GaetaResult(True, ""),
@@ -266,6 +263,15 @@ def test_check_reports_failure(monkeypatch, check, name, module, attr, wrong, de
     assert result.ok is False
     assert result.name == name
     assert result.detail.startswith(detail), result.detail
+
+
+def test_an_untied_witness_delta_fails_the_witness_check_alone(monkeypatch):
+    # every other check that reads delta_low only asks it to pass the Gaeta
+    # conditions, which delta_high(a, 2a) does
+    wrong = ALSO_BROKEN["pfaffian/witness-ideals-delta-untied"][4]
+    monkeypatch.setattr(classify, "delta_low", wrong)
+    report = verify.verify_suite("all", max_degree=2, max_a=2)
+    assert [c.name for c in report.checks if not c.ok] == ["pfaffian/witness-ideals"]
 
 
 def test_every_check_has_a_failure_case():
