@@ -560,7 +560,7 @@ class TestWitnessIdeals:
             assert tuple(sorted(self.w.degrees(v))) == (3, 3, 3, 5)
 
     def test_generators_nonzero_and_homogeneous(self):
-        for p in self.w.ideals["q"] + self.w.ideals["w"]:
+        for p in (p for ideal in self.w.ideals.values() for p in ideal):
             assert not p.is_zero
             assert p.is_homogeneous()
 
@@ -570,5 +570,5 @@ class TestWitnessIdeals:
 
     def test_deleted_pfaffian_degrees(self):
         # deg p_{1,2,5} = d1 + d2 + d5 - theta = 1; two extra linear variables
-        assert self.w.ideals["q"][3].degree() == 3
-        assert self.w.ideals["w"][3].degree() == 3
+        for ideal in self.w.ideals.values():
+            assert ideal[3].degree() == 3
